@@ -18,15 +18,13 @@ from .gp_supervisor import (
     pseudo_loss_grad,
 )
 from .kernels import KernelSpec, base_kernel, effective_kernel, gram
-from .linalg import CholFactor, cholesky, logdet, solve_posdef
+from .linalg import CholFactor, cholesky, solve_posdef
 from .nets import AdamState, Discriminator, Generator, adam_step, load_checkpoint, save_checkpoint
 from .trainer import (
     DeskData,
     LossBreakdown,
     TrainConfig,
-    adversarial_losses,
     build_epoch_banks,
-    identity_loss,
     lr_at,
     train_run,
     train_step,
@@ -49,7 +47,6 @@ __all__ = [
     "Patch",
     "TrainConfig",
     "adam_step",
-    "adversarial_losses",
     "bank_build",
     "base_kernel",
     "build_epoch_banks",
@@ -58,10 +55,8 @@ __all__ = [
     "effective_kernel",
     "gp_condition",
     "gram",
-    "identity_loss",
     "knn_select",
     "load_checkpoint",
-    "logdet",
     "lr_at",
     "make_clean",
     "psnr",

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_metrics import DegradeSpec, make_eval_pairs, make_unpaired_sets, psnr, ssim
+from .data_metrics import SSIM_WINDOW, DegradeSpec, _pixels, make_eval_pairs, make_unpaired_sets, psnr, ssim
 from .errors import ConfigError, DgpError
+from .kernels import FAMILIES
 from .nets import load_checkpoint
 from .trainer import DeskData, TrainConfig, train_run
 from . import verify as verify_mod
@@ -69,6 +70,37 @@ CONFIG_SCHEMA = {
     "checkpoint_interval": (int, 10),
     "sample_count": (int, 3),
 }
+
+
+# Smallest value of each numeric key a run can use.  Values are checked when
+# the config is built, so a bad config never fails part-way through a run.
+CONFIG_MIN = dict.fromkeys(("epochs", "batch_size", "lr_halve_every", "n_neighbors", "gp_depth",
+                            "eval_interval", "n_train", "n_eval", "checkpoint_interval"), 1)
+CONFIG_MIN.update(lambda_p=0.0, img_side=SSIM_WINDOW)  # evaluation takes SSIM over whole windows
+# Keys that must be above zero; the pseudo loss takes the log of the posterior
+# variance, whose floor is noise_var.
+CONFIG_POSITIVE = ("kernel_beta", "kernel_gamma", "noise_var")
+
+
+def _check_values(values: dict) -> None:
+    """Refuse values a run cannot use; every message names the key."""
+    for key, low in CONFIG_MIN.items():
+        if not values[key] >= low:
+            raise ConfigError(f"{key} must be at least {low}, got {values[key]!r}")
+    for key in CONFIG_POSITIVE:
+        if not values[key] > 0:
+            raise ConfigError(f"{key} must be positive, got {values[key]!r}")
+    if values["kernel_family"] not in FAMILIES:
+        raise ConfigError(f"kernel_family must be one of {', '.join(FAMILIES)}, got {values['kernel_family']!r}")
+    for key in ("gen_hidden", "disc_hidden"):
+        if any(w < 1 for w in values[key]):
+            raise ConfigError(f"{key} widths must be positive, got {values[key]!r}")
+    n_hidden = len(values["gen_hidden"])
+    if not 1 <= values["tap_s"] < values["tap_z"] <= n_hidden:
+        raise ConfigError(
+            f"tap_s = {values['tap_s']} and tap_z = {values['tap_z']} must satisfy "
+            f"1 <= tap_s < tap_z <= {n_hidden}, the number of gen_hidden layers"
+        )
 
 
 @dataclass
@@ -128,6 +160,7 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         values["seed"] = int(env) if env else 0
     if values["data_seed"] is None:
         values["data_seed"] = values["seed"]
+    _check_values(values)
 
     dgp_on = values["dgp"]
     train = TrainConfig(
@@ -257,10 +290,9 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"checkpoint {args.ckpt} has no weather-to-clean generator")
     gen = nets["gen_wc"]
     pairs = make_eval_pairs(rc.n_eval, rc.degrade, rc.data_seed, rc.train.img_side)
-    rows = []
-    for i, (weather, clean) in enumerate(pairs):
-        restored = gen.restore(weather.pixels)
-        rows.append((i, psnr(restored, clean.pixels), ssim(restored, clean.pixels)))
+    # The same stacked restore as trainer.evaluate, so scores match metrics.csv exactly.
+    restored = gen.restore(_pixels([weather for weather, _ in pairs]))
+    rows = [(i, psnr(r, clean), ssim(r, clean)) for i, (r, (_, clean)) in enumerate(zip(restored, pairs))]
     mean_p = float(np.mean([r[1] for r in rows]))
     mean_s = float(np.mean([r[2] for r in rows]))
     if args.out:

@@ -42,14 +42,6 @@ class Patch:
         if self.pixels.size and (self.pixels.min() < -1e-9 or self.pixels.max() > 1 + 1e-9):
             raise ValueError("patch pixels must lie in [0, 1]")
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True)
 class DegradeSpec:
@@ -63,7 +55,12 @@ class DegradeSpec:
 
 
 def _pixels(img) -> np.ndarray:
-    return img.pixels if isinstance(img, Patch) else np.asarray(img, dtype=float)
+    """Pixel array of a Patch or an array; a list or tuple of them is stacked on a new first axis."""
+    if isinstance(img, Patch):
+        return img.pixels
+    if isinstance(img, (list, tuple)):
+        return np.stack([_pixels(i) for i in img])
+    return np.asarray(img, dtype=float)
 
 
 def make_clean(seed: int, n: int, side: int = 32) -> list:
@@ -140,7 +137,7 @@ def psnr(a, b) -> float:
     mse = float(np.mean((pa - pb) ** 2))
     if mse <= 0.0:
         return PSNR_CAP
-    return min(PSNR_CAP, -10.0 * np.log10(mse))
+    return min(PSNR_CAP, -10.0 * float(np.log10(mse)))
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -173,7 +170,7 @@ def ssim(a, b) -> float:
     return float(np.mean(num / den))
 
 
-# --- PGM and manifest I/O --------------------------------------------------
+# --- PGM I/O ----------------------------------------------------------------
 
 
 def write_pgm(path, p: Patch) -> None:
@@ -221,23 +218,3 @@ def read_pgm(path, domain_tag: str = "clean") -> Patch:
     pix = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
     return Patch(pixels=pix.reshape(height, width) / 255.0, domain_tag=domain_tag)
 
-
-def write_manifest(path, entries) -> None:
-    """Plain-text dataset index: one `path domain_tag` pair per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for file_path, tag in entries:
-            fh.write(f"{file_path} {tag}\n")
-
-
-def read_manifest(path):
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.rsplit(" ", 1)
-            if len(parts) != 2:
-                raise MalformedFile(f"{path}:{ln}: expected `path tag`")
-            entries.append((parts[0], parts[1]))
-    return entries

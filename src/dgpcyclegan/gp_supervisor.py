@@ -29,6 +29,7 @@ import struct
 
 import numpy as np
 
+from .data_metrics import _pixels
 from .errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile
 from .kernels import LIN, LIN_BIAS, SE, KernelSpec, effective_kernel, gram
 from .linalg import cholesky, solve_posdef
@@ -62,11 +63,6 @@ class FeatureBank:
     def __len__(self) -> int:
         return self.s.shape[0]
 
-    def entries(self):
-        """Iterate (s, z) pairs in insertion order."""
-        for i in range(len(self)):
-            yield self.s[i], self.z[i]
-
 
 @dataclass
 class GpPosterior:
@@ -77,22 +73,13 @@ class GpPosterior:
     neighbor_ids: np.ndarray
 
 
-def _image_pixels(img) -> np.ndarray:
-    return img.pixels if hasattr(img, "pixels") else np.asarray(img, dtype=float)
-
-
 def bank_build(images, generator, domain: str = "clean", epoch: int = 0) -> FeatureBank:
-    """Run every image through the generator and store its (s, z) taps."""
+    """Run all images through the generator in one stacked call and store their (s, z) taps."""
     images = list(images)
     if not images:
         raise EmptyDataset("cannot build a feature bank from zero images")
-    s_rows = []
-    z_rows = []
-    for img in images:
-        _, s, z, _ = generator.forward(_image_pixels(img))
-        s_rows.append(s)
-        z_rows.append(z)
-    return FeatureBank(domain=domain, s=np.stack(s_rows), z=np.stack(z_rows), epoch_stamp=epoch)
+    _, s, z, _ = generator.forward(_pixels(images))
+    return FeatureBank(domain=domain, s=s, z=z, epoch_stamp=epoch)
 
 
 def knn_select(bank: FeatureBank, query_z, n: int) -> np.ndarray:
@@ -138,8 +125,8 @@ def gp_condition(spec: KernelSpec, bank: FeatureBank, neighbor_ids, query_s) -> 
     factor = cholesky(k_mat)
 
     k_vec = gram(spec, q, s_nbr)[0]
-    alpha = solve_posdef(factor, z_nbr - spec.prior_mean)
-    mean = spec.prior_mean + k_vec @ alpha
+    alpha = solve_posdef(factor, z_nbr)
+    mean = k_vec @ alpha
 
     v = solve_posdef(factor, k_vec)
     var = float(effective_kernel(spec, q, q) - k_vec @ v + spec.noise_var)
@@ -223,7 +210,7 @@ def pseudo_loss_query_grad(
     factor = cholesky(k_mat)
     k_vec, jac = _kernel_row_jacobian(spec, s_nbr, q)
 
-    alpha = solve_posdef(factor, z_nbr - spec.prior_mean)  # (n, dz)
+    alpha = solve_posdef(factor, z_nbr)  # (n, dz)
     w = solve_posdef(factor, k_vec)  # (n,)
 
     var = posterior.variance

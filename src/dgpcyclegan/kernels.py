@@ -17,7 +17,7 @@ the recursion shape above for every later layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +38,13 @@ class KernelSpec:
 
     families[l], beta[l], gamma[l] configure layer l (layer 0 is the input
     layer of the recursion).  noise_var is the additive observation noise on
-    the joint covariance; prior_mean is fixed at zero.
+    the joint covariance; the GP prior mean is zero.
     """
 
     families: tuple[str, ...] = (SE, SE, SE, SE)
     beta: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     gamma: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     noise_var: float = 0.01
-    prior_mean: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if self.depth < 1:

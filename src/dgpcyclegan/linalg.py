@@ -81,7 +81,3 @@ def solve_posdef(f: CholFactor, b):
     y = np.linalg.solve(f.lower, b)
     return np.linalg.solve(f.lower.T, y)
 
-
-def logdet(f: CholFactor) -> float:
-    """log det(A + jitter*I) = 2 * sum(log diag L)."""
-    return float(2.0 * np.sum(np.log(np.diag(f.lower))))

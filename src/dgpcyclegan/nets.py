@@ -7,6 +7,12 @@ which accept injected gradients on the backward pass.  Parameters live in
 one flat float64 vector per network so the optimizer and checkpoints treat
 every net uniformly.
 
+Every pass runs on a row stack: an input of shape (B, ...) holds B samples,
+and each layer is one (B, fan_in) @ (fan_in, fan_out) product.  Outputs keep
+the input's shape, taps are (B, dim), scores (B,); backward sums parameter
+gradients over the rows.  A single sample without the leading axis runs as a
+stack of one, and its taps and score drop that axis.
+
 All forward passes cache activations for exactly one matching backward
 call; a cache from another network raises CacheMismatch.
 """
@@ -14,6 +20,7 @@ call; a cache from another network raises CacheMismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import struct
 
 import numpy as np
@@ -35,7 +42,8 @@ def _leaky_deriv(x: np.ndarray) -> np.ndarray:
 class FwdCache:
     owner: int
     x_shape: tuple
-    acts: list  # acts[0] is the flat input, acts[i] the post-activation of stage i
+    lead: tuple  # (B,) for a row stack, () for a single sample
+    acts: list  # acts[0] is the (B, width) input, acts[i] the post-activation of stage i
     pres: list  # pre-activations per stage
 
 
@@ -70,43 +78,39 @@ class DenseStack:
     def n_params(self) -> int:
         return self.params.size
 
-    def _layer(self, i: int, params: np.ndarray):
-        w_sl, b_sl, fan_in, fan_out = self._slices[i]
-        return params[w_sl].reshape(fan_in, fan_out), params[b_sl]
-
     def _run(self, x) -> FwdCache:
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1)
-        if flat.size != self.widths[0]:
-            raise ShapeMismatch(f"input has {flat.size} values, expected {self.widths[0]}")
-        acts = [flat]
+        width = self.widths[0]
+        lead = x.shape[:1] if x.ndim > 1 and math.prod(x.shape[1:]) == width else ()
+        if not lead and x.size != width:
+            raise ShapeMismatch(f"input has {x.size} values, expected {width} per row")
+        a = x.reshape(-1, width)
+        acts = [a]
         pres = []
-        a = flat
         last = self.n_stages - 1
-        for i in range(self.n_stages):
-            w, b = self._layer(i, self.params)
-            pre = a @ w + b
+        for i, (w_sl, b_sl, fan_in, fan_out) in enumerate(self._slices):
+            pre = a @ self.params[w_sl].reshape(fan_in, fan_out) + self.params[b_sl]
             pres.append(pre)
             a = pre if i == last else _leaky(pre)
             acts.append(a)
-        return FwdCache(owner=id(self), x_shape=x.shape, acts=acts, pres=pres)
+        return FwdCache(owner=id(self), x_shape=x.shape, lead=lead, acts=acts, pres=pres)
 
-    def _backprop(self, cache: FwdCache, grad_out: np.ndarray, tap_grads=None):
-        """Walk the stack backwards, returning (flat param grads, grad wrt input)."""
+    def _backprop(self, cache: FwdCache, grad_out, tap_grads=None):
+        """Walk the stack backwards, returning (flat param grads summed over rows, grad wrt input)."""
         if cache.owner != id(self):
             raise CacheMismatch("cache was produced by a different network")
-        grads = np.zeros_like(self.params)
-        g = np.asarray(grad_out, dtype=float).reshape(-1)
+        rows = cache.acts[0].shape[0]
+        grads = np.empty(self.n_params)
+        g = np.asarray(grad_out, dtype=float).reshape(rows, -1)
         last = self.n_stages - 1
         for i in range(last, -1, -1):
             if tap_grads is not None and (i + 1) in tap_grads:
-                g = g + tap_grads[i + 1]
+                g = g + np.asarray(tap_grads[i + 1], dtype=float).reshape(rows, -1)
             dpre = g if i == last else g * _leaky_deriv(cache.pres[i])
             w_sl, b_sl, fan_in, fan_out = self._slices[i]
-            w = self.params[w_sl].reshape(fan_in, fan_out)
-            grads[w_sl] = np.outer(cache.acts[i], dpre).reshape(-1)
-            grads[b_sl] = dpre
-            g = w @ dpre
+            grads[w_sl] = (cache.acts[i].T @ dpre).reshape(-1)
+            grads[b_sl] = dpre.sum(axis=0)
+            g = dpre @ self.params[w_sl].reshape(fan_in, fan_out).T
         return grads, g.reshape(cache.x_shape)
 
 
@@ -122,10 +126,11 @@ class Generator(DenseStack):
         self.tap_z = int(tap_z)
 
     def forward(self, x):
-        """Returns (y, s, z, cache) with y shaped like x."""
+        """Returns (y, s, z, cache) with y shaped like x and taps (B, dim)."""
         cache = self._run(x)
         y = cache.acts[-1].reshape(cache.x_shape)
-        return y, cache.acts[self.tap_s].copy(), cache.acts[self.tap_z].copy(), cache
+        s, z = (cache.acts[t].reshape(cache.lead + (-1,)).copy() for t in (self.tap_s, self.tap_z))
+        return y, s, z, cache
 
     def backward(self, cache: FwdCache, grad_y, grad_s=None, grad_z=None):
         """Accumulate parameter gradients from output and tap gradients.
@@ -135,9 +140,9 @@ class Generator(DenseStack):
         """
         taps = {}
         if grad_s is not None:
-            taps[self.tap_s] = np.asarray(grad_s, dtype=float)
+            taps[self.tap_s] = grad_s
         if grad_z is not None:
-            taps[self.tap_z] = np.asarray(grad_z, dtype=float)
+            taps[self.tap_z] = grad_z
         return self._backprop(cache, grad_y, taps or None)
 
     def restore(self, x) -> np.ndarray:
@@ -153,12 +158,13 @@ class Discriminator(DenseStack):
         super().__init__((in_dim, *hidden, 1), rng=rng)
 
     def forward(self, x):
+        """Returns (scores, cache); one score per row."""
         cache = self._run(x)
-        return float(cache.acts[-1][0]), cache
+        return cache.acts[-1].reshape(cache.lead), cache
 
-    def backward(self, cache: FwdCache, dscore: float):
-        """Returns (param_grads, grad_x) for a scalar upstream gradient."""
-        return self._backprop(cache, np.array([float(dscore)]))
+    def backward(self, cache: FwdCache, dscore):
+        """Returns (param_grads, grad_x) for upstream gradients of the scores."""
+        return self._backprop(cache, dscore)
 
 
 @dataclass

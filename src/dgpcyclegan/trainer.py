@@ -3,16 +3,17 @@
 One epoch follows the bank-then-update ordering: the weather bank snapshots
 (s, z) taps of the weather-to-clean net over the weather set, the clean bank
 those of the clean-to-weather net over the clean set, both at epoch-start
-weights.  The update loop then walks shuffled unpaired image pairs and for
-each pair runs
+weights.  The update loop then walks shuffled unpaired image pairs in
+batches.  With G the weather-to-clean and F the clean-to-weather net, each
+batch runs as row stacks in two dependency levels:
 
-    fake_c = G(iw),  rec_w = F(fake_c)      (forward chain; F taps give the
-                                             supervised latents for the clean
-                                             bank's GP)
-    fake_w = F(ic),  rec_c = G(fake_w)      (mirrored chain; G taps supervised
-                                             against the weather bank)
+    level 1:  G([iw; ic]) = [fake_c; id_c],  F([ic; iw]) = [fake_w; id_w],
+              D_c(fake_c), D_w(fake_w)
+    level 2:  rec_w = F(fake_c)   (F taps give the supervised latents for
+                                   the clean bank's GP)
+              rec_c = G(fake_w)   (G taps supervised against the weather bank)
 
-and assembles
+and assembles the batch mean of
 
     total = cyc_w + cyc_c + adv_fwd + adv_rev + identity
             + lambda_p * (p_fwd + p_rev)
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_metrics import Patch, psnr, ssim, write_pgm
+from .data_metrics import Patch, _pixels, psnr, ssim, write_pgm
 from .errors import EmptyDataset
 from .gp_supervisor import (
     FeatureBank,
@@ -53,8 +54,7 @@ class TrainConfig:
     """Desk-scale training configuration.
 
     The GP kernel defaults to a depth-gp_depth squared-exponential stack
-    with beta/gamma ratio 1.0; kernel_family swaps the first layer's family,
-    and a full KernelSpec overrides all of it.
+    with beta/gamma ratio 1.0; kernel_family swaps the first layer's family.
     """
 
     lambda_p: float = 0.03
@@ -67,7 +67,6 @@ class TrainConfig:
     seed: int = 0
     dgp_enabled: bool = True
     grad_through_query: bool = False
-    kernel: KernelSpec | None = None
     kernel_family: str = "se"
     kernel_beta: float = 2.5
     kernel_gamma: float = 2.5
@@ -88,8 +87,6 @@ class TrainConfig:
             raise ValueError("lr_halve_every must be positive")
 
     def resolve_kernel(self) -> KernelSpec:
-        if self.kernel is not None:
-            return self.kernel
         return KernelSpec.heterogeneous(
             first_family=self.kernel_family,
             depth=self.gp_depth,
@@ -163,34 +160,16 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr * 0.5 ** (epoch // config.lr_halve_every)
 
 
-def lsgan_terms(score_real: float, score_fake: float):
-    """Least-squares GAN terms from raw scores: (generator, discriminator)."""
-    gen = (score_fake - 1.0) ** 2
-    disc = 0.5 * ((score_real - 1.0) ** 2 + score_fake ** 2)
-    return gen, disc
+def _l1(a: np.ndarray, b: np.ndarray):
+    """Mean absolute difference and its gradient with respect to a."""
+    d = a - b
+    return float(np.mean(np.abs(d))), np.sign(d) / d.size
 
 
-def adversarial_losses(d: Discriminator, real, fake):
-    """(gen_term, disc_term) of the least-squares objective for one pair."""
-    score_real, _ = d.forward(_pix(real))
-    score_fake, _ = d.forward(_pix(fake))
-    return lsgan_terms(score_real, score_fake)
-
-
-def _pix(img) -> np.ndarray:
-    return img.pixels if isinstance(img, Patch) else np.asarray(img, dtype=float)
-
-
-def _l1(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean(np.abs(a - b)))
-
-
-def identity_loss(fcw: Generator, fwc: Generator, iw, ic) -> float:
-    """L1(fcw(iw), iw) + L1(fwc(ic), ic)."""
-    iw, ic = _pix(iw), _pix(ic)
-    out_w, _, _, _ = fcw.forward(iw)
-    out_c, _, _, _ = fwc.forward(ic)
-    return _l1(out_w, iw) + _l1(out_c, ic)
+def _least_squares(scores: np.ndarray, target):
+    """Mean of (score - target)^2 over the rows and its gradient with respect to the scores."""
+    d = scores - target
+    return float(np.mean(d * d)), 2.0 * d / d.size
 
 
 def build_epoch_banks(weather_images, clean_images, gen_wc: Generator, gen_cw: Generator, epoch: int) -> EpochBanks:
@@ -223,55 +202,56 @@ def generator_step_terms(
     grad_through_query: bool = False,
     want_grads: bool = True,
 ):
-    """Loss components and generator gradients for one unpaired sample.
+    """Batch-mean loss components and generator gradients for B unpaired pairs.
 
-    Pseudo terms are computed when either live banks or pre-computed
-    posterior targets are supplied; pseudo-label, variance and neighbor
-    choice are constants of the step, so their only gradient contribution is
-    through the supervised z-tap (plus, optionally, the query's kernel row).
+    iw and ic are stacks of B images each (shape (B, h, w)).  Pseudo terms
+    are computed when either live banks or pre-computed posterior targets
+    (one list of B posteriors per direction) are supplied; pseudo-label,
+    variance and neighbor choice are constants of the step, so their only
+    gradient contribution is through the supervised z-tap (plus, optionally,
+    the query's kernel row).
     Returns (components dict, grads_wc, grads_cw, posteriors, fakes).
     """
-    iw, ic = _pix(iw), _pix(ic)
-    npix = iw.size
+    iw, ic = _pixels(iw), _pixels(ic)
+    n = len(iw)
 
-    # Forward chain and its reconstruction.
-    fake_c, _, _, cache_g1 = gen_wc.forward(iw)
-    rec_w, s_c_t, z_c_t, cache_f1 = gen_cw.forward(fake_c)
-    # Mirrored chain.
-    fake_w, _, _, cache_f2 = gen_cw.forward(ic)
-    rec_c, s_w_t, z_w_t, cache_g2 = gen_wc.forward(fake_w)
-    # Identity mappings.
-    id_w, _, _, cache_f3 = gen_cw.forward(iw)
-    id_c, _, _, cache_g3 = gen_wc.forward(ic)
-
-    cyc_w = _l1(iw, rec_w)
-    cyc_c = _l1(ic, rec_c)
-    identity = _l1(id_w, iw) + _l1(id_c, ic)
-
+    # Level 1: both generators on both domains, discriminators on the fakes.
+    out_g, _, _, cache_g1 = gen_wc.forward(np.concatenate([iw, ic]))
+    out_f, _, _, cache_f1 = gen_cw.forward(np.concatenate([ic, iw]))
+    fake_c, id_c = out_g[:n], out_g[n:]
+    fake_w, id_w = out_f[:n], out_f[n:]
     score_fake_c, cache_dc = disc_c.forward(fake_c)
     score_fake_w, cache_dw = disc_w.forward(fake_w)
-    adv_fwd = (score_fake_c - 1.0) ** 2
-    adv_rev = (score_fake_w - 1.0) ** 2
+    # Level 2: reconstructions, whose taps are the supervised latents.
+    rec_w, s_c_t, z_c_t, cache_f2 = gen_cw.forward(fake_c)
+    rec_c, s_w_t, z_w_t, cache_g2 = gen_wc.forward(fake_w)
+
+    cyc_w, g_rec_w = _l1(rec_w, iw)
+    cyc_c, g_rec_c = _l1(rec_c, ic)
+    id_loss_w, g_id_w = _l1(id_w, iw)
+    id_loss_c, g_id_c = _l1(id_c, ic)
+    adv_fwd, g_score_c = _least_squares(score_fake_c, 1.0)
+    adv_rev, g_score_w = _least_squares(score_fake_w, 1.0)
 
     post_f = post_r = None
     p_fwd = p_rev = 0.0
     if fixed_posteriors is not None:
         post_f, post_r = fixed_posteriors
     elif banks is not None:
-        ids_f = knn_select(banks.clean, z_c_t, n_neighbors)
-        post_f = gp_condition(kernel, banks.clean, ids_f, s_c_t)
-        ids_r = knn_select(banks.weather, z_w_t, n_neighbors)
-        post_r = gp_condition(kernel, banks.weather, ids_r, s_w_t)
+        post_f, post_r = (
+            [gp_condition(kernel, bank, knn_select(bank, z, n_neighbors), s) for s, z in zip(s_t, z_t)]
+            for bank, s_t, z_t in ((banks.clean, s_c_t, z_c_t), (banks.weather, s_w_t, z_w_t))
+        )
     if post_f is not None:
-        p_fwd = pseudo_loss(post_f, z_c_t)
-        p_rev = pseudo_loss(post_r, z_w_t)
+        p_fwd = float(np.mean([pseudo_loss(p, z) for p, z in zip(post_f, z_c_t)]))
+        p_rev = float(np.mean([pseudo_loss(p, z) for p, z in zip(post_r, z_w_t)]))
 
     comps = {
         "cyc_w": cyc_w,
         "cyc_c": cyc_c,
         "adv_fwd": adv_fwd,
         "adv_rev": adv_rev,
-        "identity": identity,
+        "identity": id_loss_w + id_loss_c,
         "p_fwd": p_fwd,
         "p_rev": p_rev,
     }
@@ -279,46 +259,48 @@ def generator_step_terms(
         return comps, None, None, (post_f, post_r), (fake_c, fake_w)
 
     inject = lambda_p != 0.0 and post_f is not None
-    grad_z_f = lambda_p * pseudo_loss_grad(post_f, z_c_t) if inject else None
-    grad_z_r = lambda_p * pseudo_loss_grad(post_r, z_w_t) if inject else None
-    grad_s_f = grad_s_r = None
+    scale = lambda_p / n
+    grad_z_f = grad_z_r = grad_s_f = grad_s_r = None
+    if inject:
+        grad_z_f, grad_z_r = (
+            scale * np.stack([pseudo_loss_grad(p, z) for p, z in zip(posts, z_t)])
+            for posts, z_t in ((post_f, z_c_t), (post_r, z_w_t))
+        )
     if inject and grad_through_query and banks is not None:
-        grad_s_f = lambda_p * pseudo_loss_query_grad(kernel, banks.clean, post_f, s_c_t, z_c_t)
-        grad_s_r = lambda_p * pseudo_loss_query_grad(kernel, banks.weather, post_r, s_w_t, z_w_t)
+        grad_s_f, grad_s_r = (
+            scale * np.stack([pseudo_loss_query_grad(kernel, bank, p, s, z) for p, s, z in zip(posts, s_t, z_t)])
+            for bank, posts, s_t, z_t in ((banks.clean, post_f, s_c_t, z_c_t), (banks.weather, post_r, s_w_t, z_w_t))
+        )
 
-    # Forward chain backward: cycle L1 at rec_w plus pseudo grads at the taps,
-    # then the adversarial push on fake_c through the (frozen) discriminator.
-    g_rec_w = np.sign(rec_w - iw) / npix
-    g_cw_1, g_fake_c = gen_cw.backward(cache_f1, g_rec_w, grad_s=grad_s_f, grad_z=grad_z_f)
-    _, g_fake_c_adv = disc_c.backward(cache_dc, 2.0 * (score_fake_c - 1.0))
-    g_wc_1, _ = gen_wc.backward(cache_g1, g_fake_c + g_fake_c_adv)
-
-    g_rec_c = np.sign(rec_c - ic) / npix
+    # Level 2 backward: cycle L1 at the reconstructions plus pseudo grads at
+    # the taps; the adversarial push on the fakes comes through the (frozen)
+    # discriminators.
+    g_cw_2, g_fake_c = gen_cw.backward(cache_f2, g_rec_w, grad_s=grad_s_f, grad_z=grad_z_f)
     g_wc_2, g_fake_w = gen_wc.backward(cache_g2, g_rec_c, grad_s=grad_s_r, grad_z=grad_z_r)
-    _, g_fake_w_adv = disc_w.backward(cache_dw, 2.0 * (score_fake_w - 1.0))
-    g_cw_2, _ = gen_cw.backward(cache_f2, g_fake_w + g_fake_w_adv)
-
-    g_cw_3, _ = gen_cw.backward(cache_f3, np.sign(id_w - iw) / npix)
-    g_wc_3, _ = gen_wc.backward(cache_g3, np.sign(id_c - ic) / npix)
-
-    grads_wc = g_wc_1 + g_wc_2 + g_wc_3
-    grads_cw = g_cw_1 + g_cw_2 + g_cw_3
-    return comps, grads_wc, grads_cw, (post_f, post_r), (fake_c, fake_w)
+    _, g_fake_c_adv = disc_c.backward(cache_dc, g_score_c)
+    _, g_fake_w_adv = disc_w.backward(cache_dw, g_score_w)
+    # Level 1 backward, one call per generator over its stacked rows.
+    g_wc_1, _ = gen_wc.backward(cache_g1, np.concatenate([g_fake_c + g_fake_c_adv, g_id_c]))
+    g_cw_1, _ = gen_cw.backward(cache_f1, np.concatenate([g_fake_w + g_fake_w_adv, g_id_w]))
+    return comps, g_wc_1 + g_wc_2, g_cw_1 + g_cw_2, (post_f, post_r), (fake_c, fake_w)
 
 
 def discriminator_step_terms(disc: Discriminator, real, fake, want_grads: bool = True):
     """Least-squares discriminator objective and its parameter gradients.
 
-    The fake is a detached image: no gradient flows back to the generator.
+    real and fake are stacks of B images; the discriminator runs once on
+    [real; fake] and the loss is the batch mean of
+    0.5 * ((D(real) - 1)^2 + D(fake)^2).  The fakes are detached images: no
+    gradient flows back to the generator.
     """
-    score_real, cache_real = disc.forward(_pix(real))
-    score_fake, cache_fake = disc.forward(_pix(fake))
-    loss = 0.5 * ((score_real - 1.0) ** 2 + score_fake ** 2)
+    real, fake = _pixels(real), _pixels(fake)
+    scores, cache = disc.forward(np.concatenate([real, fake]))
+    target = np.concatenate([np.ones(len(real)), np.zeros(len(fake))])
+    loss, g_scores = _least_squares(scores, target)
     if not want_grads:
         return loss, None
-    g_real, _ = disc.backward(cache_real, score_real - 1.0)
-    g_fake, _ = disc.backward(cache_fake, score_fake)
-    return loss, g_real + g_fake
+    grads, _ = disc.backward(cache, g_scores)
+    return loss, grads
 
 
 def init_state(config: TrainConfig) -> TrainState:
@@ -344,55 +326,32 @@ def init_state(config: TrainConfig) -> TrainState:
 def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, config: TrainConfig) -> LossBreakdown:
     """One optimizer step over a batch of independent unpaired samples.
 
-    Sample gradients are averaged; generators update first, then each
+    Gradients are batch means; generators update first, then each
     discriminator on its own objective against the pre-update fakes.
     """
-    if not isinstance(iw_batch, (list, tuple)):
-        iw_batch = [iw_batch]
-        ic_batch = [ic_batch]
-    n = len(iw_batch)
+    iw, ic = _pixels(iw_batch), _pixels(ic_batch)
     use_banks = banks if config.dgp_enabled else None
+    comps, g_wc, g_cw, (post_f, post_r), (fake_c, fake_w) = generator_step_terms(
+        state.gen_wc, state.gen_cw, state.disc_c, state.disc_w, iw, ic,
+        lambda_p=config.lambda_p,
+        kernel=state.kernel,
+        banks=use_banks,
+        n_neighbors=config.n_neighbors,
+        grad_through_query=config.grad_through_query,
+    )
+    if use_banks is not None:
+        state.sigma2_log.extend(p.variance for p in post_f + post_r)
 
-    sums = dict.fromkeys(("cyc_w", "cyc_c", "adv_fwd", "adv_rev", "identity", "p_fwd", "p_rev"), 0.0)
-    g_wc = np.zeros_like(state.gen_wc.params)
-    g_cw = np.zeros_like(state.gen_cw.params)
-    fakes = []
-    for iw, ic in zip(iw_batch, ic_batch):
-        comps, gw, gc, posts, fake_pair = generator_step_terms(
-            state.gen_wc, state.gen_cw, state.disc_c, state.disc_w, iw, ic,
-            lambda_p=config.lambda_p,
-            kernel=state.kernel,
-            banks=use_banks,
-            n_neighbors=config.n_neighbors,
-            grad_through_query=config.grad_through_query,
-        )
-        for key in sums:
-            sums[key] += comps[key]
-        g_wc += gw
-        g_cw += gc
-        fakes.append(fake_pair)
-        if use_banks is not None:
-            state.sigma2_log.append(posts[0].variance)
-            state.sigma2_log.append(posts[1].variance)
+    state.gen_wc.params = adam_step(state.opt["gen_wc"], state.gen_wc.params, g_wc)
+    state.gen_cw.params = adam_step(state.opt["gen_cw"], state.gen_cw.params, g_cw)
 
-    state.gen_wc.params = adam_step(state.opt["gen_wc"], state.gen_wc.params, g_wc / n)
-    state.gen_cw.params = adam_step(state.opt["gen_cw"], state.gen_cw.params, g_cw / n)
-
-    g_dc = np.zeros_like(state.disc_c.params)
-    g_dw = np.zeros_like(state.disc_w.params)
-    for (iw, ic), (fake_c, fake_w) in zip(zip(iw_batch, ic_batch), fakes):
-        _, gd = discriminator_step_terms(state.disc_c, ic, fake_c)
-        g_dc += gd
-        _, gd = discriminator_step_terms(state.disc_w, iw, fake_w)
-        g_dw += gd
-    state.disc_c.params = adam_step(state.opt["disc_c"], state.disc_c.params, g_dc / n)
-    state.disc_w.params = adam_step(state.opt["disc_w"], state.disc_w.params, g_dw / n)
+    _, g_dc = discriminator_step_terms(state.disc_c, ic, fake_c)
+    _, g_dw = discriminator_step_terms(state.disc_w, iw, fake_w)
+    state.disc_c.params = adam_step(state.opt["disc_c"], state.disc_c.params, g_dc)
+    state.disc_w.params = adam_step(state.opt["disc_w"], state.disc_w.params, g_dw)
 
     state.step += 1
-    return LossBreakdown.assemble(
-        sums["cyc_w"] / n, sums["cyc_c"] / n, sums["adv_fwd"] / n, sums["adv_rev"] / n,
-        sums["identity"] / n, sums["p_fwd"] / n, sums["p_rev"] / n, config.lambda_p,
-    )
+    return LossBreakdown.assemble(**comps, lambda_p=config.lambda_p)
 
 
 @dataclass
@@ -405,13 +364,10 @@ class DeskData:
 
 
 def evaluate(gen_wc: Generator, eval_pairs) -> tuple[float, float]:
-    """Mean restoration PSNR/SSIM of the weather-to-clean net on held-out pairs."""
-    psnrs = []
-    ssims = []
-    for weather, clean in eval_pairs:
-        restored = gen_wc.restore(_pix(weather))
-        psnrs.append(psnr(restored, _pix(clean)))
-        ssims.append(ssim(restored, _pix(clean)))
+    """Mean restoration PSNR/SSIM of the weather-to-clean net on held-out pairs, restored as one stack."""
+    restored = gen_wc.restore(_pixels([weather for weather, _ in eval_pairs]))
+    psnrs = [psnr(r, clean) for r, (_, clean) in zip(restored, eval_pairs)]
+    ssims = [ssim(r, clean) for r, (_, clean) in zip(restored, eval_pairs)]
     return float(np.mean(psnrs)), float(np.mean(ssims))
 
 
@@ -469,10 +425,12 @@ def train_run(
         history.append(EpochStats(epoch, lr, *means, mean_sigma2, ep_psnr, ep_ssim))
 
         if out is not None:
-            if do_eval and sample_count > 0:
-                for i, (weather, clean) in enumerate(data.eval_pairs[:sample_count]):
-                    restored = state.gen_wc.restore(_pix(weather))
-                    strip = np.concatenate([_pix(weather), restored, _pix(clean)], axis=1)
+            samples = data.eval_pairs[:sample_count] if sample_count > 0 else []
+            if do_eval and samples:
+                weather = _pixels([w for w, _ in samples])
+                clean = _pixels([c for _, c in samples])
+                strips = np.concatenate([weather, state.gen_wc.restore(weather), clean], axis=2)
+                for i, strip in enumerate(strips):
                     write_pgm(out / f"sample_{epoch}_{i}.pgm", Patch(strip, "clean"))
             if (epoch + 1) % checkpoint_interval == 0 or epoch == config.epochs - 1:
                 save_checkpoint(

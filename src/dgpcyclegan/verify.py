@@ -2,9 +2,9 @@
 
 Each suite cross-checks an optimized code path against an independent route:
 hand-derived values, brute-force joint-Gaussian conditioning through an
-explicit dense inverse, eigenvalue log-determinants, and central finite
-differences for every gradient.  Suites only ever touch the filesystem
-through a temporary directory.
+explicit dense inverse, central finite differences for every gradient, and
+per-row calls for every row-batched pass.  Suites only ever touch the
+filesystem through a temporary directory.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .data_metrics import DegradeSpec, Patch, degrade, make_clean, psnr, read_pg
 from .errors import MalformedFile, NotPositiveDefinite, NotSymmetric
 from .gp_supervisor import FeatureBank, GpPosterior, gp_condition, pseudo_loss
 from .kernels import KernelSpec, base_kernel, effective_kernel, gram
-from .linalg import cholesky, logdet, solve_posdef
+from .linalg import cholesky, solve_posdef
 from .nets import Discriminator, Generator
-from .trainer import generator_step_terms
+from .trainer import EpochBanks, generator_step_terms
 
 
 class CheckResult(NamedTuple):
@@ -63,7 +63,7 @@ def brute_force_condition(spec: KernelSpec, s_rows: np.ndarray, z_rows: np.ndarr
     k_bb = joint[:n, :n]
     k_bq = joint[:n, n]
     inv = np.linalg.inv(k_bb)
-    mean = k_bq @ inv @ (z_rows - spec.prior_mean) + spec.prior_mean
+    mean = k_bq @ inv @ z_rows
     var = float(joint[n, n] - k_bq @ inv @ k_bq)
     return mean, var
 
@@ -118,18 +118,6 @@ def linalg_suite() -> list:
         worst = max(worst, float(np.max(np.abs(recon))) / float(np.max(np.abs(a))))
     out.append(CheckResult("factor round-trip (dims 1..16)", worst <= 1e-10, f"worst scaled error {worst:.2e}"))
 
-    ok = abs(logdet(cholesky(np.eye(4)))) < 1e-14
-    ok = ok and abs(logdet(cholesky(np.diag([2.0, 3.0]))) - np.log(6.0)) < 1e-12
-    worst = 0.0
-    for _ in range(20):
-        b_mat = rng.standard_normal((5, 5))
-        a = b_mat.T @ b_mat + np.eye(5)
-        f = cholesky(a)
-        eig = float(np.sum(np.log(np.linalg.eigvalsh(a))))
-        worst = max(worst, abs(logdet(f) - eig) / abs(eig))
-        inv = solve_posdef(f, np.eye(5))
-        worst = max(worst, abs(logdet(f) + logdet(cholesky(0.5 * (inv + inv.T)))))
-    out.append(CheckResult("logdet identities", ok and worst <= 1e-8, f"worst error {worst:.2e}"))
     return out
 
 
@@ -321,6 +309,12 @@ def grads_suite() -> list:
     rel = max(end_to_end_grad_error(seed) for seed in range(5))
     out.append(CheckResult("composite objective vs FD (5 seeds)", rel < 1e-3, f"worst rel err {rel:.2e}"))
 
+    rel = max(net_rows_error(seed) for seed in range(3))
+    out.append(CheckResult("3-row nets vs per-row calls (3 seeds)", rel <= 1e-12, f"worst rel err {rel:.2e}"))
+
+    rel = max(step_rows_error(seed) for seed in range(3))
+    out.append(CheckResult("2-pair step vs per-pair mean (3 seeds)", rel <= 1e-12, f"worst rel err {rel:.2e}"))
+
     spec = KernelSpec.homogeneous(depth=3)
     s_rows = rng.standard_normal((6, 4)) * 0.7
     z_rows = rng.standard_normal((6, 3))
@@ -341,6 +335,15 @@ def grads_suite() -> list:
     return out
 
 
+def _tiny_nets(rng):
+    """Two generators and two discriminators on 4x4 images, small enough for FD checks."""
+    gen_wc = Generator(16, hidden=(4, 3, 3, 4), tap_s=2, tap_z=3, rng=rng)
+    gen_cw = Generator(16, hidden=(4, 3, 3, 4), tap_s=2, tap_z=3, rng=rng)
+    disc_c = Discriminator(16, hidden=(4,), rng=rng)
+    disc_w = Discriminator(16, hidden=(4,), rng=rng)
+    return gen_wc, gen_cw, disc_c, disc_w
+
+
 def end_to_end_grad_error(seed: int) -> float:
     """Composite-objective gradient vs FD on a tiny two-generator model.
 
@@ -348,18 +351,15 @@ def end_to_end_grad_error(seed: int) -> float:
     training step treats them.
     """
     rng = np.random.default_rng(1000 + seed)
-    side = 4
-    gen_wc = Generator(side * side, hidden=(4, 3, 3, 4), tap_s=2, tap_z=3, rng=rng)
-    gen_cw = Generator(side * side, hidden=(4, 3, 3, 4), tap_s=2, tap_z=3, rng=rng)
-    disc_c = Discriminator(side * side, hidden=(4,), rng=rng)
-    disc_w = Discriminator(side * side, hidden=(4,), rng=rng)
-    iw = rng.uniform(0.0, 1.0, (side, side))
-    ic = rng.uniform(0.0, 1.0, (side, side))
+    nets = _tiny_nets(rng)
+    gen_wc, gen_cw = nets[:2]
+    iw = rng.uniform(0.0, 1.0, (1, 4, 4))
+    ic = rng.uniform(0.0, 1.0, (1, 4, 4))
     lam = 0.05
 
     posts = (
-        GpPosterior(rng.standard_normal(3) * 0.3, float(rng.uniform(0.2, 1.5)), np.arange(1)),
-        GpPosterior(rng.standard_normal(3) * 0.3, float(rng.uniform(0.2, 1.5)), np.arange(1)),
+        [GpPosterior(rng.standard_normal(3) * 0.3, float(rng.uniform(0.2, 1.5)), np.arange(1))],
+        [GpPosterior(rng.standard_normal(3) * 0.3, float(rng.uniform(0.2, 1.5)), np.arange(1))],
     )
 
     n_wc = gen_wc.n_params
@@ -368,22 +368,63 @@ def end_to_end_grad_error(seed: int) -> float:
         gen_wc.params = theta[:n_wc]
         gen_cw.params = theta[n_wc:]
         comps, _, _, _, _ = generator_step_terms(
-            gen_wc, gen_cw, disc_c, disc_w, iw, ic,
-            lambda_p=lam, fixed_posteriors=posts, want_grads=False,
+            *nets, iw, ic, lambda_p=lam, fixed_posteriors=posts, want_grads=False,
         )
         return (comps["cyc_w"] + comps["cyc_c"] + comps["adv_fwd"] + comps["adv_rev"]
                 + comps["identity"] + lam * (comps["p_fwd"] + comps["p_rev"]))
 
     base = np.concatenate([gen_wc.params, gen_cw.params])
-    _, g_wc, g_cw, _, _ = generator_step_terms(
-        gen_wc, gen_cw, disc_c, disc_w, iw, ic,
-        lambda_p=lam, fixed_posteriors=posts,
-    )
+    _, g_wc, g_cw, _, _ = generator_step_terms(*nets, iw, ic, lambda_p=lam, fixed_posteriors=posts)
     analytic = np.concatenate([g_wc, g_cw])
     numeric = fd_grad(composite, base.copy(), h=1e-6)
     gen_wc.params = base[:n_wc]
     gen_cw.params = base[n_wc:]
     return _rel(analytic, numeric)
+
+
+def net_rows_error(seed: int) -> float:
+    """Worst relative gap between one 3-row network call and three 1-row calls.
+
+    Outputs, taps, scores and input gradients must match row for row, with
+    per-row output and tap gradients injected; parameter gradients must
+    match the sum of the per-row ones.
+    """
+    rng = np.random.default_rng(2000 + seed)
+    gen = Generator(16, hidden=(6, 4, 4, 6), tap_s=2, tap_z=3, rng=rng)
+    disc = Discriminator(16, hidden=(5, 3), rng=rng)
+    x = rng.uniform(0.0, 1.0, (3, 4, 4))
+    upstream = (rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4)),
+                rng.standard_normal((3, 4)), rng.standard_normal(3))
+
+    def run(xs, gy, gs, gz, gd):
+        y, s, z, cache = gen.forward(xs)
+        pg_gen, gx_gen = gen.backward(cache, gy, grad_s=gs, grad_z=gz)
+        score, cache = disc.forward(xs)
+        pg_disc, gx_disc = disc.backward(cache, gd)
+        return (y, s, z, gx_gen, score, gx_disc), (pg_gen, pg_disc)
+
+    outs, params = run(x, *upstream)
+    singles = [run(x[i], *(u[i] for u in upstream)) for i in range(3)]
+    worst = max(_rel(out[i], one[0][k]) for i, one in enumerate(singles) for k, out in enumerate(outs))
+    return max(worst, *(_rel(p, sum(one[1][k] for one in singles)) for k, p in enumerate(params)))
+
+
+def step_rows_error(seed: int) -> float:
+    """Worst relative gap between a 2-pair generator step and the mean of two 1-pair steps.
+
+    Live banks, the kNN/GP path and the query-gradient term are all on.
+    """
+    rng = np.random.default_rng(3000 + seed)
+    nets = _tiny_nets(rng)
+    iw, ic, bank_w, bank_c = (rng.uniform(0.0, 1.0, (n, 4, 4)) for n in (2, 2, 4, 4))
+    banks = EpochBanks(gp_supervisor.bank_build(bank_w, nets[0], "weather"),
+                       gp_supervisor.bank_build(bank_c, nets[1], "clean"))
+    kw = dict(lambda_p=0.05, kernel=KernelSpec.homogeneous(depth=2), banks=banks,
+              n_neighbors=3, grad_through_query=True)
+    comps, g_wc, g_cw, _, _ = generator_step_terms(*nets, iw, ic, **kw)
+    singles = [generator_step_terms(*nets, iw[i : i + 1], ic[i : i + 1], **kw) for i in range(2)]
+    worst = max(_rel(comps[k], np.mean([one[0][k] for one in singles])) for k in comps)
+    return max(worst, *(_rel(g, np.mean([one[k] for one in singles], axis=0)) for k, g in ((1, g_wc), (2, g_cw))))
 
 
 def metrics_suite() -> list:

@@ -73,6 +73,32 @@ def test_seed_env_fallback(monkeypatch):
     assert build_run_config({}).train.seed == 0
 
 
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("epochs = 0", "epochs"),
+        ("lambda_p = -1", "lambda_p"),
+        ("kernel_family = foo", "kernel_family"),
+        ("kernel_gamma = 0", "kernel_gamma"),
+        ("noise_var = -1", "noise_var"),
+        ("tap_s = 3\ntap_z = 2", "tap_s"),
+        ("gen_hidden = 16", "gen_hidden"),
+        ("n_train = 0", "n_train"),
+        ("n_eval = 0", "n_eval"),
+        ("eval_interval = 0", "eval_interval"),
+        ("checkpoint_interval = 0", "checkpoint_interval"),
+        ("img_side = 8", "img_side"),
+    ],
+)
+def test_train_refuses_unusable_value(fast_config, tmp_path, capsys, lines, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(fast_config.read_text() + lines + "\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 # --- verify command ----------------------------------------------------------
 
 
@@ -146,7 +172,11 @@ def test_eval_on_checkpoint(fast_config, tmp_path, capsys):
     code = main(["eval", "--config", str(fast_config), "--ckpt", str(out / "ckpt_1.bin"), "--out", str(out)])
     assert code == 0
     assert "psnr" in capsys.readouterr().out
-    assert (out / "eval.csv").exists()
+    lines = (out / "eval.csv").read_text().splitlines()
+    assert lines[0] == "pair,psnr,ssim" and len(lines) == 3
+    for line in lines[1:]:
+        for field in line.split(","):
+            float(field)
 
 
 # --- ablate command ----------------------------------------------------------

@@ -9,11 +9,9 @@ from dgpcyclegan.data_metrics import (
     make_eval_pairs,
     make_unpaired_sets,
     psnr,
-    read_manifest,
     read_pgm,
     ssim,
     streak_field,
-    write_manifest,
     write_pgm,
 )
 from dgpcyclegan.errors import MalformedFile, ShapeMismatch, TooSmall
@@ -195,19 +193,3 @@ def test_pgm_comment_header_accepted(tmp_path):
     assert patch.pixels.shape == (2, 2)
     assert patch.pixels[0, 1] == 128 / 255
 
-
-# --- manifest ----------------------------------------------------------------
-
-
-def test_manifest_roundtrip(tmp_path):
-    path = tmp_path / "index.txt"
-    entries = [("imgs/a.pgm", "clean"), ("imgs/b.pgm", "weather")]
-    write_manifest(path, entries)
-    assert read_manifest(path) == entries
-
-
-def test_manifest_bad_line(tmp_path):
-    path = tmp_path / "index.txt"
-    path.write_text("justonetoken\n")
-    with pytest.raises(MalformedFile):
-        read_manifest(path)

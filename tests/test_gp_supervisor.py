@@ -37,10 +37,10 @@ def test_bank_build_one_entry_per_image():
     assert len(bank) == 5
     assert bank.domain == "weather"
     assert bank.epoch_stamp == 3
-    # order preserved: entry i is the forward pass of image i
-    _, s0, z0, _ = gen.forward(images[0])
-    assert np.array_equal(bank.s[0], s0)
-    assert np.array_equal(bank.z[0], z0)
+    # order preserved: entry i is row i of the forward pass of the stacked images
+    _, s, z, _ = gen.forward(np.stack(images))
+    assert np.array_equal(bank.s, s)
+    assert np.array_equal(bank.z, z)
 
 
 def test_bank_build_deterministic_and_weight_sensitive():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgpcyclegan.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
-from dgpcyclegan.linalg import cholesky, logdet, solve_posdef
+from dgpcyclegan.linalg import cholesky, solve_posdef
 
 
 def random_pd(rng, n):
@@ -101,28 +101,3 @@ def test_factor_roundtrip_property():
         err = np.max(np.abs(f.lower @ f.lower.T - (a + f.jitter_used * np.eye(n))))
         assert err <= 1e-10 * np.max(np.abs(a))
 
-
-def test_logdet_identity_is_zero():
-    assert logdet(cholesky(np.eye(4))) == 0.0
-
-
-def test_logdet_hand_diag():
-    assert abs(logdet(cholesky(np.diag([2.0, 3.0]))) - np.log(6.0)) < 1e-12
-
-
-def test_logdet_matches_eigenvalue_oracle():
-    rng = np.random.default_rng(13)
-    a = random_pd(rng, 5)
-    expected = float(np.sum(np.log(np.linalg.eigvalsh(a))))
-    assert abs(logdet(cholesky(a)) - expected) <= 1e-9 * abs(expected)
-
-
-def test_logdet_inverse_cancels():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        n = int(rng.integers(2, 9))
-        a = random_pd(rng, n)
-        f = cholesky(a)
-        inv = solve_posdef(f, np.eye(n))
-        inv = 0.5 * (inv + inv.T)
-        assert abs(logdet(f) + logdet(cholesky(inv))) <= 1e-8

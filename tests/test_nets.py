@@ -61,8 +61,9 @@ def test_tap_s_precedes_tap_z_structurally():
     gen = tiny_gen(11)
     assert gen.tap_s < gen.tap_z
     _, s, z, cache = gen.forward(np.zeros((4, 4)))
-    assert np.array_equal(cache.acts[gen.tap_s], s)
-    assert np.array_equal(cache.acts[gen.tap_z], z)
+    # a single sample runs as a stack of one row
+    assert np.array_equal(cache.acts[gen.tap_s][0], s)
+    assert np.array_equal(cache.acts[gen.tap_z][0], z)
 
 
 # --- generator backward ------------------------------------------------------
@@ -131,6 +132,46 @@ def test_backward_rejects_foreign_cache():
     _, _, _, cache = a.forward(np.zeros((4, 4)))
     with pytest.raises(CacheMismatch):
         b.backward(cache, np.zeros((4, 4)))
+
+
+def rel(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
+
+
+def test_row_stack_matches_per_row_generator_calls():
+    gen = tiny_gen(30)
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0, 1, (3, 4, 4))
+    gy, gs, gz = rng.standard_normal((3, 4, 4)), rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    y, s, z, cache = gen.forward(x)
+    grads, gx = gen.backward(cache, gy, grad_s=gs, grad_z=gz)
+    assert y.shape == (3, 4, 4) and s.shape == (3, 4) and z.shape == (3, 4) and gx.shape == (3, 4, 4)
+    row_grads = []
+    for i in range(3):
+        y_i, s_i, z_i, cache_i = gen.forward(x[i])
+        g_i, gx_i = gen.backward(cache_i, gy[i], grad_s=gs[i], grad_z=gz[i])
+        for batched, single in ((y[i], y_i), (s[i], s_i), (z[i], z_i), (gx[i], gx_i)):
+            assert rel(batched, single) <= 1e-12
+        row_grads.append(g_i)
+    assert rel(grads, np.sum(row_grads, axis=0)) <= 1e-12
+
+
+def test_row_stack_matches_per_row_discriminator_calls():
+    disc = Discriminator(16, hidden=(6, 4), rng=np.random.default_rng(32))
+    rng = np.random.default_rng(33)
+    x = rng.uniform(0, 1, (3, 16))
+    d = rng.standard_normal(3)
+    scores, cache = disc.forward(x)
+    grads, gx = disc.backward(cache, d)
+    assert scores.shape == (3,) and gx.shape == (3, 16)
+    row_grads = []
+    for i in range(3):
+        score_i, cache_i = disc.forward(x[i])
+        g_i, gx_i = disc.backward(cache_i, d[i])
+        assert rel(scores[i], score_i) <= 1e-12
+        assert rel(gx[i], gx_i) <= 1e-12
+        row_grads.append(g_i)
+    assert rel(grads, np.sum(row_grads, axis=0)) <= 1e-12
 
 
 # --- discriminator -----------------------------------------------------------

@@ -9,12 +9,11 @@ from dgpcyclegan.trainer import (
     DeskData,
     LossBreakdown,
     TrainConfig,
-    adversarial_losses,
     build_epoch_banks,
-    identity_loss,
+    discriminator_step_terms,
+    generator_step_terms,
     init_state,
     lr_at,
-    lsgan_terms,
     train_run,
     train_step,
     write_metrics_csv,
@@ -44,64 +43,89 @@ def small_data(n=10, seed=0, side=8):
 
 
 class ConstGen:
-    """Stub with the generator forward signature returning a fixed image."""
+    """Stub with the generator forward signature: per row, the input itself or a constant image."""
 
     def __init__(self, value=None):
         self.value = value
 
     def forward(self, x):
-        y = np.asarray(x, dtype=float) if self.value is None else np.full_like(np.asarray(x, float), self.value)
-        return y, np.zeros(2), np.zeros(2), None
+        x = np.asarray(x, dtype=float)
+        y = x if self.value is None else np.full_like(x, self.value)
+        taps = np.zeros((len(x), 2))
+        return y, taps, taps, None
+
+
+class MeanDisc:
+    """Stub discriminator scoring each row by its mean pixel value."""
+
+    def forward(self, x):
+        x = np.asarray(x, dtype=float)
+        return x.reshape(len(x), -1).mean(axis=1), None
+
+
+def gen_terms(gen_wc, gen_cw, disc, iw, ic):
+    comps, _, _, _, _ = generator_step_terms(
+        gen_wc, gen_cw, disc, disc, iw, ic, lambda_p=0.0, want_grads=False,
+    )
+    return comps
 
 
 # --- loss pieces -------------------------------------------------------------
 
 
 def test_lsgan_terms_fooled_discriminator():
-    gen, _ = lsgan_terms(score_real=0.3, score_fake=1.0)
-    assert gen == 0.0
+    # fakes scored 1.0: the generator's least-squares term vanishes
+    img = np.random.default_rng(60).uniform(0, 1, (2, 4, 4))
+    comps = gen_terms(ConstGen(1.0), ConstGen(1.0), MeanDisc(), img, img)
+    assert comps["adv_fwd"] == 0.0
+    assert comps["adv_rev"] == 0.0
 
 
 def test_lsgan_terms_perfect_discriminator():
-    _, disc = lsgan_terms(score_real=1.0, score_fake=0.0)
-    assert disc == 0.0
+    # real scored 1.0, fake scored 0.0
+    loss, _ = discriminator_step_terms(MeanDisc(), np.ones((2, 4, 4)), np.zeros((2, 4, 4)), want_grads=False)
+    assert loss == 0.0
 
 
 def test_lsgan_terms_hand_value():
-    gen, disc = lsgan_terms(score_real=0.5, score_fake=0.5)
-    assert gen == 0.25
-    assert disc == 0.25
+    half = np.full((2, 4, 4), 0.5)
+    comps = gen_terms(ConstGen(0.5), ConstGen(0.5), MeanDisc(), half, half)
+    assert comps["adv_fwd"] == 0.25
+    loss, _ = discriminator_step_terms(MeanDisc(), half, half, want_grads=False)
+    assert loss == 0.25
 
 
 def test_adversarial_losses_runs_discriminator():
     # Zero-weight discriminator scores any input 0: gen term 1, disc term 0.5.
     disc = Discriminator(16, hidden=(4,))
     rng = np.random.default_rng(61)
-    gen_term, disc_term = adversarial_losses(disc, rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (4, 4)))
-    assert gen_term == 1.0
-    assert disc_term == 0.5
+    real, fake = rng.uniform(0, 1, (2, 2, 4, 4))
+    comps = gen_terms(ConstGen(None), ConstGen(None), disc, real, fake)
+    assert comps["adv_fwd"] == 1.0 and comps["adv_rev"] == 1.0
+    loss, _ = discriminator_step_terms(disc, real, fake, want_grads=False)
+    assert loss == 0.5
 
 
 def test_identity_loss_identity_generators():
     rng = np.random.default_rng(62)
-    iw = rng.uniform(0, 1, (4, 4))
-    ic = rng.uniform(0, 1, (4, 4))
-    assert identity_loss(ConstGen(None), ConstGen(None), iw, ic) == 0.0
+    iw = rng.uniform(0, 1, (2, 4, 4))
+    ic = rng.uniform(0, 1, (2, 4, 4))
+    assert gen_terms(ConstGen(None), ConstGen(None), MeanDisc(), iw, ic)["identity"] == 0.0
 
 
 def test_identity_loss_zero_output_on_unit_mean_images():
-    iw = np.ones((4, 4))
-    ic = np.ones((4, 4))
-    assert identity_loss(ConstGen(0.0), ConstGen(0.0), iw, ic) == 2.0
+    ones = np.ones((2, 4, 4))
+    assert gen_terms(ConstGen(0.0), ConstGen(0.0), MeanDisc(), ones, ones)["identity"] == 2.0
 
 
 def test_identity_loss_swap_symmetry():
     rng = np.random.default_rng(63)
-    iw = rng.uniform(0, 1, (4, 4))
-    ic = rng.uniform(0, 1, (4, 4))
+    iw = rng.uniform(0, 1, (2, 4, 4))
+    ic = rng.uniform(0, 1, (2, 4, 4))
     f = ConstGen(0.25)
     g = ConstGen(0.75)
-    assert identity_loss(f, g, iw, ic) == identity_loss(g, f, ic, iw)
+    a = gen_terms(f, g, MeanDisc(), iw, ic)["identity"]
+    assert a == gen_terms(g, f, MeanDisc(), ic, iw)["identity"]
 
 
 # --- learning-rate schedule --------------------------------------------------
@@ -160,17 +184,31 @@ def test_banks_change_as_weights_train():
 
 
 def test_identity_generators_zero_cycle_terms():
-    from dgpcyclegan.trainer import generator_step_terms
-
     disc = Discriminator(16, hidden=(4,))
-    img = np.random.default_rng(64).uniform(0, 1, (4, 4))
-    comps, _, _, _, _ = generator_step_terms(
-        ConstGen(None), ConstGen(None), disc, disc, img, img,
-        lambda_p=0.0, want_grads=False,
-    )
+    img = np.random.default_rng(64).uniform(0, 1, (1, 4, 4))
+    comps = gen_terms(ConstGen(None), ConstGen(None), disc, img, img)
     assert comps["cyc_w"] == 0.0
     assert comps["cyc_c"] == 0.0
     assert comps["identity"] == 0.0
+
+
+def test_batched_step_is_mean_of_single_pair_steps():
+    cfg = small_config()
+    data = small_data(n=6)
+    state = init_state(cfg)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    nets = (state.gen_wc, state.gen_cw, state.disc_c, state.disc_w)
+    kw = dict(lambda_p=0.05, kernel=state.kernel, banks=banks, n_neighbors=3, grad_through_query=True)
+    iw = np.stack([p.pixels for p in data.weather_train[:2]])
+    ic = np.stack([p.pixels for p in data.clean_train[:2]])
+    comps, g_wc, g_cw, _, _ = generator_step_terms(*nets, iw, ic, **kw)
+    singles = [generator_step_terms(*nets, iw[i : i + 1], ic[i : i + 1], **kw) for i in range(2)]
+    for key, value in comps.items():
+        mean = (singles[0][0][key] + singles[1][0][key]) / 2
+        assert abs(value - mean) <= 1e-12 * abs(value), key
+    for got, k in ((g_wc, 1), (g_cw, 2)):
+        mean = (singles[0][k] + singles[1][k]) / 2
+        assert np.linalg.norm(got - mean) <= 1e-12 * np.linalg.norm(got)
 
 
 def test_train_step_breakdown_reassembly():
