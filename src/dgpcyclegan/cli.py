@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,45 +163,14 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     _check_values(values)
 
     dgp_on = values["dgp"]
-    train = TrainConfig(
-        lambda_p=values["lambda_p"] if dgp_on else 0.0,
-        n_neighbors=values["n_neighbors"],
-        gp_depth=values["gp_depth"],
-        lr=values["lr"],
-        lr_halve_every=values["lr_halve_every"],
-        epochs=values["epochs"],
-        batch_size=values["batch_size"],
-        seed=values["seed"],
-        dgp_enabled=dgp_on,
-        grad_through_query=values["grad_through_query"],
-        kernel_family=values["kernel_family"],
-        kernel_beta=values["kernel_beta"],
-        kernel_gamma=values["kernel_gamma"],
-        noise_var=values["noise_var"],
-        img_side=values["img_side"],
-        gen_hidden=values["gen_hidden"],
-        tap_s=values["tap_s"],
-        tap_z=values["tap_z"],
-        disc_hidden=values["disc_hidden"],
-        eval_interval=values["eval_interval"],
-    )
-    degrade = DegradeSpec(
-        streak_count=values["streak_count"],
-        streak_amplitude=values["streak_amplitude"],
-        streak_angle=values["streak_angle"],
-        streak_width=values["streak_width"],
-        seed=values["data_seed"],
-    )
-    return RunConfig(
-        train=train,
-        degrade=degrade,
-        data_seed=values["data_seed"],
-        n_train=values["n_train"],
-        n_eval=values["n_eval"],
-        out_dir=values["out_dir"],
-        checkpoint_interval=values["checkpoint_interval"],
-        sample_count=values["sample_count"],
-    )
+    train = _from_keys(TrainConfig, values, lambda_p=values["lambda_p"] if dgp_on else 0.0, dgp_enabled=dgp_on)
+    degrade = _from_keys(DegradeSpec, values, seed=values["data_seed"])
+    return _from_keys(RunConfig, values, train=train, degrade=degrade)
+
+
+def _from_keys(cls, values: dict, **given):
+    """A cls whose fields come from the config keys of the same name, except those given."""
+    return cls(**{**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **given})
 
 
 def build_desk_data(rc: RunConfig) -> DeskData:
@@ -223,15 +192,8 @@ def final_metrics(history) -> tuple:
 
 
 def run_experiment(rc: RunConfig, out_dir=None):
-    data = build_desk_data(rc)
-    state, history = train_run(
-        rc.train,
-        data,
-        out_dir=out_dir,
-        checkpoint_interval=rc.checkpoint_interval,
-        sample_count=rc.sample_count,
-    )
-    return state, history
+    return train_run(rc.train, build_desk_data(rc), out_dir=out_dir,
+                     checkpoint_interval=rc.checkpoint_interval, sample_count=rc.sample_count)
 
 
 # --- commands ---------------------------------------------------------------

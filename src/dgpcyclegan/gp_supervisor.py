@@ -15,6 +15,11 @@ weighted by 1/var:
 
     loss = ||z_pred - z_pseudo||^2 / var + dim(z) * log(var)
 
+Queries are row stacks, the (B, dim) taps the generators return: one call
+handles all B queries, with one (B, k, k) Gram stack, one Cholesky call and
+one solve per right-hand side.  A 1-D query is a stack of one, and its
+results drop the leading axis.
+
 Banks are frozen snapshots, so by default the pseudo-label, the variance and
 the kernel terms in the query are treated as constants by the gradients; an
 optional extra term differentiates through the query's kernel row for
@@ -30,9 +35,9 @@ import struct
 import numpy as np
 
 from .data_metrics import _pixels
-from .errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile
-from .kernels import LIN, LIN_BIAS, SE, KernelSpec, effective_kernel, gram
-from .linalg import cholesky, solve_posdef
+from .errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile, NotPositiveDefinite
+from .kernels import KernelSpec, effective_kernel, gram, kernel_row_grad
+from .linalg import cholesky, matvec, row_dot, solve_posdef, vecmat
 
 BANK_MAGIC = b"DGPBANK1"
 _DOMAIN_CODES = {"clean": 0, "weather": 1}
@@ -66,11 +71,17 @@ class FeatureBank:
 
 @dataclass
 class GpPosterior:
-    """Pseudo-label mean, scalar variance and the bank rows that produced it."""
+    """Pseudo-label means (B, dz), scalar variances (B,) and neighbor ids (B, k) of B queries.
+
+    One query drops the leading axis (variance is a float).  gp_condition also
+    keeps alpha = K^-1 Z and w = K^-1 k(S, q) for the query gradient.
+    """
 
     pseudo_label: np.ndarray
-    variance: float
+    variance: np.ndarray | float
     neighbor_ids: np.ndarray
+    alpha: np.ndarray | None = None
+    w: np.ndarray | None = None
 
 
 def bank_build(images, generator, domain: str = "clean", epoch: int = 0) -> FeatureBank:
@@ -82,144 +93,114 @@ def bank_build(images, generator, domain: str = "clean", epoch: int = 0) -> Feat
     return FeatureBank(domain=domain, s=s, z=z, epoch_stamp=epoch)
 
 
-def knn_select(bank: FeatureBank, query_z, n: int) -> np.ndarray:
-    """Indices of the min(n, |bank|) entries closest to query_z in z-space.
+def _queries(query, dim: int, what: str) -> np.ndarray:
+    q = np.asarray(query, dtype=float)
+    if q.ndim not in (1, 2) or q.shape[-1] != dim:
+        raise DimensionMismatch(f"query shape {q.shape} does not match bank {what}-dim {dim}")
+    return q
 
-    Euclidean distance, ties broken toward the lower index; deterministic.
+
+def knn_select(bank: FeatureBank, query_z, n: int) -> np.ndarray:
+    """Indices of the min(n, |bank|) entries closest to each query row in z-space.
+
+    (B, z_dim) queries give (B, k) indices.  Euclidean distance, ties broken
+    toward the lower index; deterministic.
     """
     if len(bank) == 0:
         raise EmptyBank("feature bank has no entries")
     if n < 1:
         raise ValueError("n must be at least 1")
-    q = np.asarray(query_z, dtype=float)
-    if q.shape != (bank.z.shape[1],):
-        raise DimensionMismatch(
-            f"query dim {q.shape} does not match bank z-dim {bank.z.shape[1]}"
-        )
-    d2 = np.sum((bank.z - q) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")
-    return order[: min(n, len(bank))]
+    q = _queries(query_z, bank.z.shape[1], "z")
+    d2 = np.sum((bank.z - q[..., None, :]) ** 2, axis=-1)
+    order = np.argsort(d2, axis=-1, kind="stable")
+    return order[..., : min(n, len(bank))]
 
 
 def gp_condition(spec: KernelSpec, bank: FeatureBank, neighbor_ids, query_s) -> GpPosterior:
-    """Condition the collapsed GP on the selected bank rows.
+    """Condition the collapsed GP of each query row on its selected bank rows.
 
     The neighbor s-vectors are the GP inputs, their paired z-vectors the
-    targets; the query contributes a single row, so the posterior covariance
-    is the 1x1 scalar broadcast over z dimensions.  Solved through a
-    Cholesky factor, never an explicit inverse.
+    targets; each query contributes a single row, so its posterior covariance
+    is the 1x1 scalar broadcast over z dimensions.  Solved through one
+    stacked Cholesky factor, never an explicit inverse.
     """
     ids = np.asarray(neighbor_ids, dtype=int)
     if ids.size == 0:
         raise EmptyBank("neighbor set is empty")
-    q = np.asarray(query_s, dtype=float)
-    if q.shape != (bank.s.shape[1],):
-        raise DimensionMismatch(
-            f"query dim {q.shape} does not match bank s-dim {bank.s.shape[1]}"
-        )
+    q = _queries(query_s, bank.s.shape[1], "s")
+    if ids.shape[:-1] != q.shape[:-1]:
+        raise DimensionMismatch(f"neighbor ids {ids.shape} do not match queries {q.shape}")
     s_nbr = bank.s[ids]
     z_nbr = bank.z[ids]
 
     k_mat = gram(spec, s_nbr, s_nbr)
-    k_mat[np.diag_indices_from(k_mat)] += spec.noise_var
+    diag = np.arange(k_mat.shape[-1])
+    k_mat[..., diag, diag] += spec.noise_var
     factor = cholesky(k_mat)
 
-    k_vec = gram(spec, q, s_nbr)[0]
+    k_vec = gram(spec, q[..., None, :], s_nbr)[..., 0, :]
     alpha = solve_posdef(factor, z_nbr)
-    mean = k_vec @ alpha
+    w = solve_posdef(factor, k_vec)
+    var = effective_kernel(spec, q, q) - row_dot(k_vec, w) + spec.noise_var
+    variance = float(var) if q.ndim == 1 else var
+    return GpPosterior(vecmat(k_vec, alpha), variance, ids, alpha=alpha, w=w)
 
-    v = solve_posdef(factor, k_vec)
-    var = float(effective_kernel(spec, q, q) - k_vec @ v + spec.noise_var)
-    return GpPosterior(pseudo_label=mean, variance=var, neighbor_ids=ids)
 
-
-def pseudo_loss(posterior: GpPosterior, z_pred) -> float:
-    """Gaussian NLL of z_pred under the pseudo-label with isotropic variance."""
+def _predictions(posterior: GpPosterior, z_pred) -> np.ndarray:
     z = np.asarray(z_pred, dtype=float)
     if z.shape != posterior.pseudo_label.shape:
         raise DimensionMismatch(
             f"z_pred shape {z.shape} vs pseudo-label {posterior.pseudo_label.shape}"
         )
-    if posterior.variance <= 0:
-        raise ValueError("posterior variance must be positive")
+    return z
+
+
+def pseudo_loss(posterior: GpPosterior, z_pred):
+    """Gaussian NLL of each z_pred row under its pseudo-label with isotropic variance.
+
+    (B,) for a stack, a float for one query.  A variance <= 0 means the joint
+    covariance of the neighbors and the query is not positive definite.
+    """
+    z = _predictions(posterior, z_pred)
+    var = np.asarray(posterior.variance, dtype=float)
+    if np.any(var <= 0):
+        raise NotPositiveDefinite(
+            f"posterior variance {np.min(var):g} <= 0: the joint covariance is not positive definite"
+        )
     delta = z - posterior.pseudo_label
-    return float(delta @ delta / posterior.variance + z.size * np.log(posterior.variance))
+    loss = row_dot(delta, delta) / var + z.shape[-1] * np.log(var)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def pseudo_loss_grad(posterior: GpPosterior, z_pred) -> np.ndarray:
-    """d pseudo_loss / d z_pred with the pseudo-label and variance held fixed."""
-    z = np.asarray(z_pred, dtype=float)
-    if z.shape != posterior.pseudo_label.shape:
-        raise DimensionMismatch(
-            f"z_pred shape {z.shape} vs pseudo-label {posterior.pseudo_label.shape}"
-        )
-    return 2.0 * (z - posterior.pseudo_label) / posterior.variance
-
-
-def _kernel_row_jacobian(spec: KernelSpec, s_nbr: np.ndarray, q: np.ndarray):
-    """Cross-kernel row k(q, S) and its Jacobian d k / d q, shape (n, dim)."""
-    family = spec.families[0]
-    beta, g = spec.beta[0], spec.gamma[0]
-    b2 = beta * beta
-    diff = q[None, :] - s_nbr  # (n, dim)
-    if family == SE:
-        sq = np.sum(diff * diff, axis=1)
-        k1 = b2 * np.exp(-sq / (2.0 * g * g))
-        jac = -k1[:, None] * diff / (g * g)
-    elif family == LIN:
-        k1 = b2 * (s_nbr @ q) / q.size + LIN_BIAS
-        jac = (b2 / q.size) * s_nbr
-    else:  # SC
-        r = np.sqrt(np.sum(diff * diff, axis=1))
-        k1 = b2 * np.cos(r / g) ** 2
-        safe_r = np.where(r > 0, r, 1.0)[:, None]
-        unit = np.where(r[:, None] > 0, diff / safe_r, 0.0)
-        jac = (-b2 * np.sin(2.0 * r / g) / g)[:, None] * unit
-    # Push both through the depth recursion; each layer multiplies the
-    # derivative by beta_l^2 * gamma_l^-2 * radicand^(-3/2).
-    chain = np.ones_like(k1)
-    k = k1
-    for layer in range(1, spec.depth):
-        b_prev = spec.beta[layer - 1]
-        b = spec.beta[layer]
-        gl = spec.gamma[layer]
-        rad = 1.0 + (2.0 / (gl * gl)) * (b_prev * b_prev - k)
-        chain = chain * (b * b) / (gl * gl) / rad ** 1.5
-        k = (b * b) / np.sqrt(rad)
-    return k, chain[:, None] * jac
+    """d pseudo_loss / d z_pred per row, with the pseudo-label and variance held fixed."""
+    z = _predictions(posterior, z_pred)
+    return 2.0 * (z - posterior.pseudo_label) / np.asarray(posterior.variance)[..., None]
 
 
 def pseudo_loss_query_grad(
     spec: KernelSpec, bank: FeatureBank, posterior: GpPosterior, query_s, z_pred
 ) -> np.ndarray:
-    """d pseudo_loss / d query_s when the posterior is a live function of the query.
+    """d pseudo_loss / d query_s per row when the posterior is a live function of the query.
 
     Off by default in training (banks are stale snapshots, pseudo-labels are
     targets); provided for the configuration that differentiates through the
-    query's kernel row.  Uses d k(q,q)/dq = 0, which holds for all families
-    at zero distance.
+    query's kernel row.  Reuses alpha and w from gp_condition, so it solves
+    nothing itself.  Uses d k(q,q)/dq = 0, which holds for all families at
+    zero distance.
     """
-    q = np.asarray(query_s, dtype=float)
-    z = np.asarray(z_pred, dtype=float)
-    ids = posterior.neighbor_ids
-    s_nbr = bank.s[ids]
-    z_nbr = bank.z[ids]
+    if posterior.alpha is None or posterior.w is None:
+        raise ValueError("the query gradient needs a posterior from gp_condition")
+    z = _predictions(posterior, z_pred)
+    jac = kernel_row_grad(spec, query_s, bank.s[posterior.neighbor_ids])  # (..., k, ds)
 
-    k_mat = gram(spec, s_nbr, s_nbr)
-    k_mat[np.diag_indices_from(k_mat)] += spec.noise_var
-    factor = cholesky(k_mat)
-    k_vec, jac = _kernel_row_jacobian(spec, s_nbr, q)
-
-    alpha = solve_posdef(factor, z_nbr)  # (n, dz)
-    w = solve_posdef(factor, k_vec)  # (n,)
-
-    var = posterior.variance
+    var = np.asarray(posterior.variance)[..., None]
     delta = z - posterior.pseudo_label
-    maha = float(delta @ delta)
+    maha = row_dot(delta, delta)[..., None]
     # d mean / d q = jac^T @ alpha; d var / d q = -2 jac^T @ w
-    grad_mean_term = -(2.0 / var) * ((alpha @ delta) @ jac)
-    grad_var = -2.0 * (w @ jac)
-    grad_var_term = (z.size / var - maha / (var * var)) * grad_var
+    grad_mean_term = -(2.0 / var) * vecmat(matvec(posterior.alpha, delta), jac)
+    grad_var = -2.0 * vecmat(posterior.w, jac)
+    grad_var_term = (z.shape[-1] / var - maha / (var * var)) * grad_var
     return grad_mean_term + grad_var_term
 
 

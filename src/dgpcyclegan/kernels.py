@@ -13,15 +13,19 @@ families can push k above beta**2 and trip NonFiniteRecursion.
 
 Heterogeneous compositions place the alternative family at layer 1 and keep
 the recursion shape above for every later layer.
+
+Every function takes row stacks: (B, dim) vectors give B kernel values, and
+(B, n, dim) rows give a (B, n, m) Gram stack; no leading axis is a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteRecursion
+from .linalg import matvec, row_dot
 
 SE = "se"
 LIN = "lin"
@@ -86,51 +90,44 @@ class KernelSpec:
 
     @staticmethod
     def heterogeneous(
-        first_family: str,
-        depth: int = 2,
-        beta: float = 1.0,
-        gamma: float = 1.0,
-        noise_var: float = 0.01,
+        first_family: str, depth: int = 2, beta: float = 1.0, gamma: float = 1.0, noise_var: float = 0.01
     ) -> "KernelSpec":
         """First layer uses `first_family`, the remaining layers the SE form."""
-        return KernelSpec(
-            families=(first_family,) + (SE,) * (depth - 1),
-            beta=(beta,) * depth,
-            gamma=(gamma,) * depth,
-            noise_var=noise_var,
-        )
+        spec = KernelSpec.homogeneous(SE, depth, beta, gamma, noise_var)
+        return replace(spec, families=(first_family,) + spec.families[1:])
 
 
-def _check_dims(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"vectors must share one dim, got {x.shape} vs {y.shape}")
+def _scalar(k):
+    return float(k) if np.ndim(k) == 0 else k
 
 
-def _base_value(family: str, beta: float, gamma: float, x: np.ndarray, y: np.ndarray) -> float:
-    b2 = beta * beta
-    if family == SE:
-        d = x - y
-        return b2 * float(np.exp(-(d @ d) / (2.0 * gamma * gamma)))
-    if family == LIN:
-        return b2 * float(x @ y) / x.size + LIN_BIAS
-    # SC: squared cosine of scaled distance
-    d = x - y
-    return b2 * float(np.cos(np.sqrt(d @ d) / gamma)) ** 2
-
-
-def base_kernel(spec: KernelSpec, layer: int, x, y) -> float:
-    """Single-layer kernel value for the given layer's family and scales."""
+def base_kernel(spec: KernelSpec, layer: int, x, y):
+    """Single-layer kernel value for the given layer's family and scales; (B,) for two (B, dim) stacks."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_dims(x, y)
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise DimensionMismatch(f"vectors must share one dim, got {x.shape} vs {y.shape}")
     if not 0 <= layer < spec.depth:
         raise IndexError(f"layer {layer} out of range for depth {spec.depth}")
-    return _base_value(spec.families[layer], spec.beta[layer], spec.gamma[layer], x, y)
+    family, beta, gamma = spec.families[layer], spec.beta[layer], spec.gamma[layer]
+    b2 = beta * beta
+    d = x - y
+    if family == LIN:
+        return _scalar(b2 * row_dot(x, y) / x.shape[-1] + LIN_BIAS)
+    if family == SE:
+        return _scalar(b2 * np.exp(-row_dot(d, d) / (2.0 * gamma * gamma)))
+    # SC: squared cosine of scaled distance
+    return _scalar(b2 * np.cos(np.sqrt(row_dot(d, d)) / gamma) ** 2)
 
 
-def _recurse(spec: KernelSpec, k):
-    """Apply the depth recursion elementwise to layer-1 kernel values."""
+def _recurse(spec: KernelSpec, k, slope: bool = False):
+    """Apply the depth recursion elementwise to layer-1 kernel values.
+
+    With slope=True also returns d k_eff / d k_1: each layer multiplies it by
+    beta_l^2 * gamma_l^-2 * radicand^(-3/2).
+    """
     k = np.asarray(k, dtype=float)
+    chain = np.ones_like(k) if slope else None
     for layer in range(1, spec.depth):
         b_prev = spec.beta[layer - 1]
         b = spec.beta[layer]
@@ -140,20 +137,50 @@ def _recurse(spec: KernelSpec, k):
             raise NonFiniteRecursion(
                 f"radicand <= 0 at layer {layer + 1}; layer-1 kernel exceeds beta**2"
             )
+        if slope:
+            chain = chain * (b * b) / (g * g) / radicand ** 1.5
         k = (b * b) / np.sqrt(radicand)
-    return k
+    return (k, chain) if slope else k
 
 
-def effective_kernel(spec: KernelSpec, x, y) -> float:
-    """Collapsed kernel of the full depth-L composition at a single pair."""
-    return float(_recurse(spec, base_kernel(spec, 0, x, y)))
+def effective_kernel(spec: KernelSpec, x, y):
+    """Collapsed kernel of the full depth-L composition at a pair, or at each row pair of two stacks."""
+    return _scalar(_recurse(spec, base_kernel(spec, 0, x, y)))
+
+
+def kernel_row_grad(spec: KernelSpec, q, rows) -> np.ndarray:
+    """Gradient (..., n, dim) of k_eff(q, rows[..., j, :]) with respect to q (..., dim).
+
+    The layer-1 derivative is pushed through the depth recursion by _recurse.
+    """
+    q = np.asarray(q, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    family = spec.families[0]
+    beta, g = spec.beta[0], spec.gamma[0]
+    b2 = beta * beta
+    diff = q[..., None, :] - rows
+    if family == SE:
+        sq = np.sum(diff * diff, axis=-1)
+        k1 = b2 * np.exp(-sq / (2.0 * g * g))
+        jac = -k1[..., None] * diff / (g * g)
+    elif family == LIN:
+        k1 = b2 * matvec(rows, q) / q.shape[-1] + LIN_BIAS
+        jac = (b2 / q.shape[-1]) * rows
+    else:  # SC
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        k1 = b2 * np.cos(r / g) ** 2
+        safe_r = np.where(r > 0, r, 1.0)[..., None]
+        unit = np.where(r[..., None] > 0, diff / safe_r, 0.0)
+        jac = (-b2 * np.sin(2.0 * r / g) / g)[..., None] * unit
+    _, chain = _recurse(spec, k1, slope=True)
+    return chain[..., None] * jac
 
 
 def _stack(vectors) -> np.ndarray:
     arr = np.asarray(vectors, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2:
+    if arr.ndim < 2:
         raise DimensionMismatch(f"expected a list of vectors, got ndim {arr.ndim}")
     return arr
 
@@ -162,36 +189,39 @@ def _base_matrix(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray, same: boo
     family = spec.families[0]
     beta, gamma = spec.beta[0], spec.gamma[0]
     b2 = beta * beta
+    cross = rows @ cols.swapaxes(-2, -1)
     if family == LIN:
-        return b2 * (rows @ cols.T) / rows.shape[1] + LIN_BIAS
+        return b2 * cross / rows.shape[-1] + LIN_BIAS
     # Squared distances via the Gram expansion, clipped against rounding.
     sq = (
-        np.sum(rows * rows, axis=1)[:, None]
-        + np.sum(cols * cols, axis=1)[None, :]
-        - 2.0 * (rows @ cols.T)
+        np.sum(rows * rows, axis=-1)[..., :, None]
+        + np.sum(cols * cols, axis=-1)[..., None, :]
+        - 2.0 * cross
     )
     np.maximum(sq, 0.0, out=sq)
     if same:
-        np.fill_diagonal(sq, 0.0)
+        diag = np.arange(sq.shape[-1])
+        sq[..., diag, diag] = 0.0
     if family == SE:
         return b2 * np.exp(-sq / (2.0 * gamma * gamma))
     return b2 * np.cos(np.sqrt(sq) / gamma) ** 2
 
 
 def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Effective-kernel matrix K[i, j] = k_eff(rows[i], cols[j]).
+    """Effective-kernel matrix K[..., i, j] = k_eff(rows[..., i, :], cols[..., j, :]).
 
-    When `rows` and `cols` are the same object the result is exactly
-    symmetric with the zero-distance diagonal evaluated exactly.
+    A 1-D argument is one row.  When `rows` and `cols` are the same object the
+    result is exactly symmetric with the zero-distance diagonal evaluated
+    exactly.
     """
     same = rows is cols
     r = _stack(rows)
     c = r if same else _stack(cols)
-    if r.shape[1] != c.shape[1]:
+    if r.shape[-1] != c.shape[-1]:
         raise DimensionMismatch(
-            f"row vectors have dim {r.shape[1]}, col vectors dim {c.shape[1]}"
+            f"row vectors have dim {r.shape[-1]}, col vectors dim {c.shape[-1]}"
         )
     k = _recurse(spec, _base_matrix(spec, r, c, same))
     if same:
-        k = np.triu(k) + np.triu(k, 1).T
+        k = np.triu(k) + np.triu(k, 1).swapaxes(-2, -1)
     return k

@@ -4,6 +4,10 @@ Systems here are small (neighbor sets of at most a few dozen vectors), so
 everything is dense, row-major, double precision.  Factorizations retry with
 an escalating diagonal jitter because near-duplicate latent vectors can make
 a kernel Gram matrix numerically singular.
+
+Every function takes row stacks: (B, n, n) matrices are B systems, factored
+and solved in one call, and a (B, n) operand holds one vector per system; no
+leading axis is a stack of one.
 """
 
 from __future__ import annotations
@@ -22,39 +26,33 @@ SYMMETRY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CholFactor:
-    """Lower-triangular factor L with L @ L.T == A + jitter_used * I."""
+    """Lower-triangular factor L with L @ L.T == A + jitter_used * I, per stacked item."""
 
     lower: np.ndarray
     jitter_used: float
 
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
-
-
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DimensionMismatch("matrix contains non-finite entries")
-    return a
-
 
 def cholesky(a) -> CholFactor:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+    """Lower Cholesky factors of a (stack of) symmetric positive-definite matrices.
 
     If the plain factorization fails, the diagonal is inflated by jitters of
     1e-8, 1e-6 and 1e-4 in turn; the jitter that finally succeeded is recorded
-    on the returned factor.  Raises NotPositiveDefinite when even the largest
-    jitter does not help, and NotSymmetric when the input is skew beyond
-    tolerance.
+    on the returned factor.  The ladder steps for the whole stack (one failing
+    item refactors every item), so jitter_used stays one JITTER_LADDER float.
+    Raises NotPositiveDefinite when even the largest jitter does not help, and
+    NotSymmetric when an item is skew beyond tolerance.
     """
-    a = _as_square(a)
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if a.size and float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-9")
-    eye = np.eye(a.shape[0])
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatch(f"expected a (stack of) square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DimensionMismatch("matrix contains non-finite entries")
+    if a.size:
+        scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+        skew = np.max(np.abs(a - a.swapaxes(-2, -1)), axis=(-2, -1))
+        if np.any(skew > SYMMETRY_TOL * scale):
+            raise NotSymmetric("matrix is not symmetric within 1e-9")
+    eye = np.eye(a.shape[-1])
     for jitter in JITTER_LADDER:
         try:
             lower = np.linalg.cholesky(a if jitter == 0.0 else a + jitter * eye)
@@ -69,15 +67,34 @@ def cholesky(a) -> CholFactor:
 def solve_posdef(f: CholFactor, b):
     """Solve (A + jitter*I) x = b given the Cholesky factor of A.
 
-    Accepts a vector or a matrix right-hand side; two triangular solves,
-    never an explicit inverse.
+    b holds one vector (one axis fewer than the factor) or one matrix per
+    stacked factor; a vector gets an explicit trailing axis, so numpy 1.x and
+    2.x read a stack of vectors alike.  Two triangular solves, no inverse.
     """
     b = np.asarray(b, dtype=float)
-    n = f.n
-    if b.shape[0] != n:
+    vector = b.ndim == f.lower.ndim - 1
+    if vector:
+        b = b[..., None]
+    if b.shape[:-1] != f.lower.shape[:-1]:
         raise DimensionMismatch(
-            f"rhs has leading dimension {b.shape[0]}, factor is {n}x{n}"
+            f"rhs rows {b.shape[:-1]} do not match factor rows {f.lower.shape[:-1]}"
         )
     y = np.linalg.solve(f.lower, b)
-    return np.linalg.solve(f.lower.T, y)
+    x = np.linalg.solve(f.lower.swapaxes(-2, -1), y)
+    return x[..., 0] if vector else x
+
+
+# Products of row stacks that keep the stack axes: vector . vector gives (...),
+# vector @ matrix and matrix @ vector give (..., m).  Each row is one BLAS
+# call, the same one a 1-D operand gets.
+def row_dot(x, y):
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def vecmat(x, a):
+    return (x[..., None, :] @ a)[..., 0, :]
+
+
+def matvec(a, x):
+    return (a @ x[..., :, None])[..., 0]
 

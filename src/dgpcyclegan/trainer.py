@@ -187,26 +187,15 @@ def build_epoch_banks(weather_images, clean_images, gen_wc: Generator, gen_cw: G
 
 
 def generator_step_terms(
-    gen_wc: Generator,
-    gen_cw: Generator,
-    disc_c: Discriminator,
-    disc_w: Discriminator,
-    iw,
-    ic,
-    *,
-    lambda_p: float,
-    kernel: KernelSpec | None = None,
-    banks: EpochBanks | None = None,
-    n_neighbors: int = 32,
-    fixed_posteriors=None,
-    grad_through_query: bool = False,
-    want_grads: bool = True,
+    gen_wc: Generator, gen_cw: Generator, disc_c: Discriminator, disc_w: Discriminator, iw, ic, *,
+    lambda_p: float, kernel: KernelSpec | None = None, banks: EpochBanks | None = None,
+    n_neighbors: int = 32, fixed_posteriors=None, grad_through_query: bool = False, want_grads: bool = True,
 ):
     """Batch-mean loss components and generator gradients for B unpaired pairs.
 
     iw and ic are stacks of B images each (shape (B, h, w)).  Pseudo terms
     are computed when either live banks or pre-computed posterior targets
-    (one list of B posteriors per direction) are supplied; pseudo-label,
+    (one stacked posterior of B rows per direction) are supplied; pseudo-label,
     variance and neighbor choice are constants of the step, so their only
     gradient contribution is through the supervised z-tap (plus, optionally,
     the query's kernel row).
@@ -238,23 +227,14 @@ def generator_step_terms(
     if fixed_posteriors is not None:
         post_f, post_r = fixed_posteriors
     elif banks is not None:
-        post_f, post_r = (
-            [gp_condition(kernel, bank, knn_select(bank, z, n_neighbors), s) for s, z in zip(s_t, z_t)]
-            for bank, s_t, z_t in ((banks.clean, s_c_t, z_c_t), (banks.weather, s_w_t, z_w_t))
-        )
+        post_f = gp_condition(kernel, banks.clean, knn_select(banks.clean, z_c_t, n_neighbors), s_c_t)
+        post_r = gp_condition(kernel, banks.weather, knn_select(banks.weather, z_w_t, n_neighbors), s_w_t)
     if post_f is not None:
-        p_fwd = float(np.mean([pseudo_loss(p, z) for p, z in zip(post_f, z_c_t)]))
-        p_rev = float(np.mean([pseudo_loss(p, z) for p, z in zip(post_r, z_w_t)]))
+        p_fwd = float(np.mean(pseudo_loss(post_f, z_c_t)))
+        p_rev = float(np.mean(pseudo_loss(post_r, z_w_t)))
 
-    comps = {
-        "cyc_w": cyc_w,
-        "cyc_c": cyc_c,
-        "adv_fwd": adv_fwd,
-        "adv_rev": adv_rev,
-        "identity": id_loss_w + id_loss_c,
-        "p_fwd": p_fwd,
-        "p_rev": p_rev,
-    }
+    comps = dict(cyc_w=cyc_w, cyc_c=cyc_c, adv_fwd=adv_fwd, adv_rev=adv_rev,
+                 identity=id_loss_w + id_loss_c, p_fwd=p_fwd, p_rev=p_rev)
     if not want_grads:
         return comps, None, None, (post_f, post_r), (fake_c, fake_w)
 
@@ -262,15 +242,11 @@ def generator_step_terms(
     scale = lambda_p / n
     grad_z_f = grad_z_r = grad_s_f = grad_s_r = None
     if inject:
-        grad_z_f, grad_z_r = (
-            scale * np.stack([pseudo_loss_grad(p, z) for p, z in zip(posts, z_t)])
-            for posts, z_t in ((post_f, z_c_t), (post_r, z_w_t))
-        )
+        grad_z_f = scale * pseudo_loss_grad(post_f, z_c_t)
+        grad_z_r = scale * pseudo_loss_grad(post_r, z_w_t)
     if inject and grad_through_query and banks is not None:
-        grad_s_f, grad_s_r = (
-            scale * np.stack([pseudo_loss_query_grad(kernel, bank, p, s, z) for p, s, z in zip(posts, s_t, z_t)])
-            for bank, posts, s_t, z_t in ((banks.clean, post_f, s_c_t, z_c_t), (banks.weather, post_r, s_w_t, z_w_t))
-        )
+        grad_s_f = scale * pseudo_loss_query_grad(kernel, banks.clean, post_f, s_c_t, z_c_t)
+        grad_s_r = scale * pseudo_loss_query_grad(kernel, banks.weather, post_r, s_w_t, z_w_t)
 
     # Level 2 backward: cycle L1 at the reconstructions plus pseudo grads at
     # the taps; the adversarial push on the fakes comes through the (frozen)
@@ -340,7 +316,7 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
         grad_through_query=config.grad_through_query,
     )
     if use_banks is not None:
-        state.sigma2_log.extend(p.variance for p in post_f + post_r)
+        state.sigma2_log.extend([*post_f.variance, *post_r.variance])
 
     state.gen_wc.params = adam_step(state.opt["gen_wc"], state.gen_wc.params, g_wc)
     state.gen_cw.params = adam_step(state.opt["gen_cw"], state.gen_cw.params, g_cw)

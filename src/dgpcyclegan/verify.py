@@ -250,7 +250,38 @@ def gp_suite() -> list:
     vs = [pseudo_loss(GpPosterior(np.zeros(2), v, np.arange(1)), np.array([1.0, 1.0])) - 2 * np.log(v) for v in (0.25, 0.5, 1.0, 2.0)]
     ok = ok and all(a > b for a, b in zip(vs, vs[1:]))
     out.append(CheckResult("pseudo-loss value and multiplier", ok, "hand value, 1/var weighting"))
+
+    rel = max(gp_rows_error(seed) for seed in range(3))
+    out.append(CheckResult("stacked GP vs per-row calls (B = 1..4, 3 seeds)", rel <= 1e-12, f"worst rel err {rel:.2e}"))
     return out
+
+
+def gp_rows_error(seed: int) -> float:
+    """Worst relative gap between stacked GP calls on B = 1..4 query rows and B single-query calls.
+
+    Any kNN id mismatch counts as 1; the posteriors, losses and both gradients are compared.
+    """
+    rng = np.random.default_rng(4000 + seed)
+    spec = KernelSpec.homogeneous(depth=3, beta=1.5, gamma=1.5)
+    bank = FeatureBank("clean", s=rng.standard_normal((30, 5)), z=rng.standard_normal((30, 4)))
+
+    def run(qs, qz, z_pred):
+        ids = gp_supervisor.knn_select(bank, qz, 7)
+        post = gp_condition(spec, bank, ids, qs)
+        return ids, (post.pseudo_label, post.variance, pseudo_loss(post, z_pred),
+                     gp_supervisor.pseudo_loss_grad(post, z_pred),
+                     gp_supervisor.pseudo_loss_query_grad(spec, bank, post, qs, z_pred))
+
+    worst = 0.0
+    for b in range(1, 5):
+        rows = [rng.standard_normal((b, d)) for d in (5, 4, 4)]
+        ids, stacked = run(*rows)
+        for i in range(b):
+            ids_i, single = run(*(r[i] for r in rows))
+            if not np.array_equal(ids[i], ids_i):
+                return 1.0
+            worst = max(worst, *(_rel(a[i], c) for a, c in zip(stacked, single)))
+    return worst
 
 
 def grads_suite() -> list:
@@ -357,9 +388,9 @@ def end_to_end_grad_error(seed: int) -> float:
     ic = rng.uniform(0.0, 1.0, (1, 4, 4))
     lam = 0.05
 
-    posts = (
-        [GpPosterior(rng.standard_normal(3) * 0.3, float(rng.uniform(0.2, 1.5)), np.arange(1))],
-        [GpPosterior(rng.standard_normal(3) * 0.3, float(rng.uniform(0.2, 1.5)), np.arange(1))],
+    posts = tuple(
+        GpPosterior((rng.standard_normal(3) * 0.3)[None], np.array([rng.uniform(0.2, 1.5)]), np.zeros((1, 1), dtype=int))
+        for _ in range(2)
     )
 
     n_wc = gen_wc.n_params

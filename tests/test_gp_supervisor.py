@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dgpcyclegan.errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile
+from dgpcyclegan import gp_supervisor
+from dgpcyclegan.errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile, NotPositiveDefinite
 from dgpcyclegan.gp_supervisor import (
     FeatureBank,
     GpPosterior,
@@ -247,6 +248,59 @@ def test_query_grad_matches_finite_differences():
     numeric = fd_grad(loss_of_query, q.copy())
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-300)
     assert np.linalg.norm(analytic - numeric) / denom < 1e-5
+
+
+def test_stacked_gp_matches_per_row_calls():
+    rng = np.random.default_rng(45)
+    spec = KernelSpec.homogeneous(depth=3, beta=1.5, gamma=1.5)
+    bank = FeatureBank("clean", s=rng.standard_normal((25, 5)), z=rng.standard_normal((25, 4)))
+
+    def rel(a, b):
+        return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
+
+    for b in range(1, 5):
+        qs, qz, z_pred = (rng.standard_normal((b, d)) for d in (5, 4, 4))
+        ids = knn_select(bank, qz, n=6)
+        post = gp_condition(spec, bank, ids, qs)
+        assert ids.shape == (b, 6) and post.pseudo_label.shape == (b, 4) and post.variance.shape == (b,)
+        loss = pseudo_loss(post, z_pred)
+        grad = pseudo_loss_grad(post, z_pred)
+        query_grad = pseudo_loss_query_grad(spec, bank, post, qs, z_pred)
+        for i in range(b):
+            ids_i = knn_select(bank, qz[i], n=6)
+            assert np.array_equal(ids[i], ids_i)
+            one = gp_condition(spec, bank, ids_i, qs[i])
+            assert rel(post.pseudo_label[i], one.pseudo_label) <= 1e-12
+            assert rel(post.variance[i], one.variance) <= 1e-12
+            assert rel(loss[i], pseudo_loss(one, z_pred[i])) <= 1e-12
+            assert rel(grad[i], pseudo_loss_grad(one, z_pred[i])) <= 1e-12
+            assert rel(query_grad[i], pseudo_loss_query_grad(spec, bank, one, qs[i], z_pred[i])) <= 1e-12
+
+
+def test_query_grad_reuses_the_conditioning_solves(monkeypatch):
+    rng = np.random.default_rng(46)
+    spec = KernelSpec.homogeneous(depth=2)
+    bank = random_bank(rng, 8)
+    qs, z_pred = rng.standard_normal((2, 4)), rng.standard_normal((2, 3))
+    post = gp_condition(spec, bank, np.tile(np.arange(5), (2, 1)), qs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the query gradient must not rebuild or refactor the Gram matrix")
+
+    for name in ("gram", "cholesky", "solve_posdef"):
+        monkeypatch.setattr(gp_supervisor, name, forbidden)
+    assert pseudo_loss_query_grad(spec, bank, post, qs, z_pred).shape == (2, 4)
+    with pytest.raises(ValueError):
+        pseudo_loss_query_grad(spec, bank, GpPosterior(post.pseudo_label, post.variance, post.neighbor_ids), qs, z_pred)
+
+
+@pytest.mark.parametrize("variance", [0.0, -0.5, np.array([0.4, -1e-3])])
+def test_pseudo_loss_nonpositive_variance_is_not_positive_definite(variance):
+    rows = np.ndim(variance)
+    label = np.zeros((2, 3)) if rows else np.zeros(3)
+    post = GpPosterior(label, variance, np.zeros(label.shape[:-1] + (2,), dtype=int))
+    with pytest.raises(NotPositiveDefinite):
+        pseudo_loss(post, label + 0.1)
 
 
 def test_pseudo_loss_dimension_mismatch():

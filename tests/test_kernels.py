@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgpcyclegan.errors import DimensionMismatch, NonFiniteRecursion
-from dgpcyclegan.kernels import LIN_BIAS, KernelSpec, base_kernel, effective_kernel, gram
+from dgpcyclegan.kernels import LIN_BIAS, KernelSpec, base_kernel, effective_kernel, gram, kernel_row_grad
 from dgpcyclegan.linalg import cholesky
 
 X_UNIT = np.array([1.0, 0.0])
@@ -78,6 +78,46 @@ def test_recursion_raises_on_nonpositive_radicand():
     big = np.full(4, 10.0)
     with pytest.raises(NonFiniteRecursion):
         effective_kernel(spec, big, big)
+
+
+def test_kernel_row_grad_raises_on_nonpositive_radicand():
+    # The query gradient runs through the same checked recursion as gram.
+    spec = KernelSpec.heterogeneous("lin", depth=2, beta=1.0, gamma=1.0)
+    big = np.full(4, 10.0)
+    with pytest.raises(NonFiniteRecursion):
+        kernel_row_grad(spec, big, big[None, :])
+
+
+@pytest.mark.parametrize("family", ["se", "lin", "sc"])
+def test_kernel_row_grad_matches_finite_differences(family):
+    rng = np.random.default_rng(27)
+    spec = KernelSpec.heterogeneous(family, depth=3, beta=1.0, gamma=1.5)
+    q = rng.standard_normal(4) * 0.3
+    rows = rng.standard_normal((5, 4)) * 0.3
+    jac = kernel_row_grad(spec, q, rows)
+    h = 1e-6
+    for j in range(4):
+        step = np.zeros(4)
+        step[j] = h
+        numeric = (gram(spec, q + step, rows)[0] - gram(spec, q - step, rows)[0]) / (2 * h)
+        assert np.max(np.abs(jac[:, j] - numeric)) <= 1e-6
+
+
+def test_stacked_kernels_match_per_item_calls():
+    rng = np.random.default_rng(28)
+    spec = KernelSpec.homogeneous(depth=3, beta=1.2, gamma=1.1)
+    rows = rng.standard_normal((3, 6, 4))
+    q = rng.standard_normal((3, 4))
+    k = gram(spec, rows, rows)
+    k_row = gram(spec, q[:, None, :], rows)
+    k_self = effective_kernel(spec, q, rows[:, 0])
+    jac = kernel_row_grad(spec, q, rows)
+    assert k.shape == (3, 6, 6) and k_row.shape == (3, 1, 6) and k_self.shape == (3,) and jac.shape == (3, 6, 4)
+    for i, r in enumerate(rows):
+        assert np.array_equal(k[i], gram(spec, r, r))
+        assert np.array_equal(k_row[i], gram(spec, q[i], r))
+        assert k_self[i] == effective_kernel(spec, q[i], rows[i, 0])
+        assert np.array_equal(jac[i], kernel_row_grad(spec, q[i], rows[i]))
 
 
 def test_gram_single_vector_is_signal_var():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgpcyclegan.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
-from dgpcyclegan.linalg import cholesky, solve_posdef
+from dgpcyclegan.linalg import JITTER_LADDER, cholesky, solve_posdef
 
 
 def random_pd(rng, n):
@@ -46,6 +46,36 @@ def test_cholesky_jitter_ladder_recovers_semidefinite():
     assert f.jitter_used in (0.0, 1e-8, 1e-6, 1e-4)
     recon = f.lower @ f.lower.T
     assert np.allclose(recon, a + f.jitter_used * np.eye(2), atol=1e-10)
+
+
+def test_stack_steps_the_jitter_ladder_once_for_all_items():
+    # One rank-deficient item: the whole stack is refactored with the jitter
+    # that item needs, and jitter_used stays a single ladder value.
+    rng = np.random.default_rng(9)
+    v = np.array([[1.0], [1.0], [1.0]])
+    stack = np.stack([random_pd(rng, 3), v @ v.T, random_pd(rng, 3)])
+    f = cholesky(stack)
+    assert f.lower.shape == (3, 3, 3)
+    assert f.jitter_used > 0.0 and f.jitter_used in JITTER_LADDER
+    for a, lower in zip(stack, f.lower):
+        assert np.allclose(lower @ lower.T, a + f.jitter_used * np.eye(3), atol=1e-10)
+
+
+def test_solve_stack_matches_per_item_solves():
+    rng = np.random.default_rng(10)
+    stack = np.stack([random_pd(rng, 5) for _ in range(3)])
+    f = cholesky(stack)
+    vectors = rng.standard_normal((3, 5))
+    matrices = rng.standard_normal((3, 5, 2))
+    x_vec = solve_posdef(f, vectors)
+    x_mat = solve_posdef(f, matrices)
+    assert x_vec.shape == (3, 5) and x_mat.shape == (3, 5, 2)
+    for i in range(3):
+        one = cholesky(stack[i])
+        assert np.array_equal(x_vec[i], solve_posdef(one, vectors[i]))
+        assert np.array_equal(x_mat[i], solve_posdef(one, matrices[i]))
+    with pytest.raises(DimensionMismatch):
+        solve_posdef(f, rng.standard_normal((2, 5)))
 
 
 def test_solve_identity():
