@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,14 +76,25 @@ CONFIG_SCHEMA = {
 # the config is built, so a bad config never fails part-way through a run.
 CONFIG_MIN = dict.fromkeys(("epochs", "batch_size", "lr_halve_every", "n_neighbors", "gp_depth",
                             "eval_interval", "n_train", "n_eval", "checkpoint_interval"), 1)
-CONFIG_MIN.update(lambda_p=0.0, img_side=SSIM_WINDOW)  # evaluation takes SSIM over whole windows
+CONFIG_MIN.update(seed=0, data_seed=0, lambda_p=0.0, img_side=SSIM_WINDOW)  # SSIM takes whole windows
 # Keys that must be above zero; the pseudo loss takes the log of the posterior
 # variance, whose floor is noise_var.
-CONFIG_POSITIVE = ("kernel_beta", "kernel_gamma", "noise_var")
+CONFIG_POSITIVE = ("lr", "kernel_beta", "kernel_gamma", "noise_var")
+
+
+def _convert(key: str, text: str, name: str | None = None):
+    """Parse one value with its key's converter; errors name the key (or `name`, its source)."""
+    try:
+        return CONFIG_SCHEMA[key][0](text)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {name or key}: {text!r}") from exc
 
 
 def _check_values(values: dict) -> None:
     """Refuse values a run cannot use; every message names the key."""
+    for key, (conv, _) in CONFIG_SCHEMA.items():
+        if conv is float and not np.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]!r}")
     for key, low in CONFIG_MIN.items():
         if not values[key] >= low:
             raise ConfigError(f"{key} must be at least {low}, got {values[key]!r}")
@@ -140,14 +151,8 @@ def parse_config_file(path) -> dict:
 def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Typed RunConfig from raw file values plus flag overrides (flag wins)."""
     values = {}
-    for key, (conv, default) in CONFIG_SCHEMA.items():
-        if key in raw:
-            try:
-                values[key] = conv(raw[key])
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for {key}: {raw[key]!r}") from exc
-        else:
-            values[key] = default
+    for key, (_, default) in CONFIG_SCHEMA.items():
+        values[key] = _convert(key, raw[key]) if key in raw else default
     for key, val in (overrides or {}).items():
         if val is None:
             continue
@@ -157,7 +162,7 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
 
     if values["seed"] is None:
         env = os.environ.get("DGP_SEED")
-        values["seed"] = int(env) if env else 0
+        values["seed"] = _convert("seed", env, "DGP_SEED") if env else 0
     if values["data_seed"] is None:
         values["data_seed"] = values["seed"]
     _check_values(values)
@@ -218,7 +223,8 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _load_run_config(args, need_out: bool) -> RunConfig:
+def _load_run_config(args, need_out: bool, **extra) -> RunConfig:
+    """The run config from --config and the flags; `extra` overrides both."""
     raw = parse_config_file(args.config) if args.config else {}
     overrides = {
         "seed": args.seed,
@@ -230,7 +236,7 @@ def _load_run_config(args, need_out: bool) -> RunConfig:
     }
     if getattr(args, "dgp", None) is not None:
         overrides["dgp"] = _parse_bool(args.dgp)
-    rc = build_run_config(raw, overrides)
+    rc = build_run_config(raw, {**overrides, **extra})
     if need_out and rc.out_dir is None:
         raise ConfigError("missing config key: out_dir (set it in the file or pass --out)")
     return rc
@@ -278,23 +284,23 @@ AXES = {
 def cmd_ablate(args) -> int:
     rc = _load_run_config(args, need_out=True)
     axes = list(AXES) if args.axis == "all" else [args.axis]
-    grids = {
-        "L": _parse_ints(args.layers) if args.layers else AXES["L"][2],
-        "neighbors": _parse_ints(args.neighbors_grid) if args.neighbors_grid else AXES["neighbors"][2],
-        "lambda": tuple(float(p) for p in args.lambdas.split(",")) if args.lambdas else AXES["lambda"][2],
-    }
+    grid_text = {"L": args.layers, "neighbors": args.neighbors_grid, "lambda": args.lambdas}
+    # Every grid point is parsed like its config key and checked before the first run starts.
+    sweeps = []
+    for axis in axes:
+        key, csv_name, default = AXES[axis]
+        text = grid_text[axis]
+        values = tuple(_convert(key, part) for part in text.split(",") if part.strip()) if text else default
+        sweeps.append((key, csv_name, [(v, _load_run_config(args, True, **{key: v})) for v in values]))
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for axis in axes:
-        field_name, csv_name, _ = AXES[axis]
-        lines = [f"{field_name},psnr,ssim"]
-        for value in grids[axis]:
-            train_cfg = replace(rc.train, **{field_name: value})
-            sub = replace(rc, train=train_cfg)
+    for key, csv_name, points in sweeps:
+        lines = [f"{key},psnr,ssim"]
+        for value, sub in points:
             _, history = run_experiment(sub, out_dir=None)
             p, s = final_metrics(history)
             lines.append(f"{value},{p!r},{s!r}")
-            print(f"ablate: {field_name}={value} -> psnr {p:.3f} dB, ssim {s:.4f}")
+            print(f"ablate: {key}={value} -> psnr {p:.3f} dB, ssim {s:.4f}")
         (out / csv_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 

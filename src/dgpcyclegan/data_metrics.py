@@ -130,14 +130,14 @@ def make_eval_pairs(n: int, spec: DegradeSpec, seed: int, side: int = 32):
 
 
 def psnr(a, b) -> float:
-    """Peak signal-to-noise ratio in dB for range-1 data, capped at 99.0."""
+    """Peak signal-to-noise ratio in dB for range-1 data, capped at 99.0; NaN pixels give NaN."""
     pa, pb = _pixels(a), _pixels(b)
     if pa.shape != pb.shape:
         raise ShapeMismatch(f"shapes differ: {pa.shape} vs {pb.shape}")
     mse = float(np.mean((pa - pb) ** 2))
     if mse <= 0.0:
         return PSNR_CAP
-    return min(PSNR_CAP, -10.0 * float(np.log10(mse)))
+    return float(np.minimum(PSNR_CAP, -10.0 * np.log10(mse)))
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:

@@ -17,7 +17,7 @@ weighted by 1/var:
 
 Queries are row stacks, the (B, dim) taps the generators return: one call
 handles all B queries, with one (B, k, k) Gram stack, one Cholesky call and
-one solve per right-hand side.  A 1-D query is a stack of one, and its
+one solve for all right-hand sides.  A 1-D query is a stack of one, and its
 results drop the leading axis.
 
 Banks are frozen snapshots, so by default the pseudo-label, the variance and
@@ -139,8 +139,9 @@ def gp_condition(spec: KernelSpec, bank: FeatureBank, neighbor_ids, query_s) -> 
     factor = cholesky(k_mat)
 
     k_vec = gram(spec, q[..., None, :], s_nbr)[..., 0, :]
-    alpha = solve_posdef(factor, z_nbr)
-    w = solve_posdef(factor, k_vec)
+    # One solve for both right-hand sides: alpha = K^-1 Z and w = K^-1 k(S, q).
+    sol = solve_posdef(factor, np.concatenate([z_nbr, k_vec[..., None]], axis=-1))
+    alpha, w = sol[..., :-1], sol[..., -1]
     var = effective_kernel(spec, q, q) - row_dot(k_vec, w) + spec.noise_var
     variance = float(var) if q.ndim == 1 else var
     return GpPosterior(vecmat(k_vec, alpha), variance, ids, alpha=alpha, w=w)
@@ -186,20 +187,21 @@ def pseudo_loss_query_grad(
     Off by default in training (banks are stale snapshots, pseudo-labels are
     targets); provided for the configuration that differentiates through the
     query's kernel row.  Reuses alpha and w from gp_condition, so it solves
-    nothing itself.  Uses d k(q,q)/dq = 0, which holds for all families at
-    zero distance.
+    nothing itself.
     """
     if posterior.alpha is None or posterior.w is None:
         raise ValueError("the query gradient needs a posterior from gp_condition")
     z = _predictions(posterior, z_pred)
-    jac = kernel_row_grad(spec, query_s, bank.s[posterior.neighbor_ids])  # (..., k, ds)
+    q = np.asarray(query_s, dtype=float)
+    jac = kernel_row_grad(spec, q, bank.s[posterior.neighbor_ids])  # (..., k, ds)
 
     var = np.asarray(posterior.variance)[..., None]
     delta = z - posterior.pseudo_label
     maha = row_dot(delta, delta)[..., None]
-    # d mean / d q = jac^T @ alpha; d var / d q = -2 jac^T @ w
+    # d mean / d q = jac^T @ alpha; d var / d q = d k(q, q) / d q - 2 jac^T @ w, where
+    # d k(q, q) / d q is twice the gradient in k's first argument (k is symmetric)
     grad_mean_term = -(2.0 / var) * vecmat(matvec(posterior.alpha, delta), jac)
-    grad_var = -2.0 * vecmat(posterior.w, jac)
+    grad_var = 2.0 * (kernel_row_grad(spec, q, q[..., None, :])[..., 0, :] - vecmat(posterior.w, jac))
     grad_var_term = (z.shape[-1] / var - maha / (var * var)) * grad_var
     return grad_mean_term + grad_var_term
 

@@ -101,6 +101,21 @@ def _scalar(k):
     return float(k) if np.ndim(k) == 0 else k
 
 
+def _layer_kernel(spec: KernelSpec, layer: int, t, dim: int):
+    """Layer `layer`'s kernel elementwise in t, the one place each family's formula is written.
+
+    t is the squared distance for SE and SC, the inner product of two length-dim vectors for LIN.
+    """
+    family, beta, gamma = spec.families[layer], spec.beta[layer], spec.gamma[layer]
+    b2 = beta * beta
+    if family == LIN:
+        return b2 * t / dim + LIN_BIAS
+    if family == SE:
+        return b2 * np.exp(-t / (2.0 * gamma * gamma))
+    # SC: squared cosine of scaled distance
+    return b2 * np.cos(np.sqrt(t) / gamma) ** 2
+
+
 def base_kernel(spec: KernelSpec, layer: int, x, y):
     """Single-layer kernel value for the given layer's family and scales; (B,) for two (B, dim) stacks."""
     x = np.asarray(x, dtype=float)
@@ -109,15 +124,9 @@ def base_kernel(spec: KernelSpec, layer: int, x, y):
         raise DimensionMismatch(f"vectors must share one dim, got {x.shape} vs {y.shape}")
     if not 0 <= layer < spec.depth:
         raise IndexError(f"layer {layer} out of range for depth {spec.depth}")
-    family, beta, gamma = spec.families[layer], spec.beta[layer], spec.gamma[layer]
-    b2 = beta * beta
     d = x - y
-    if family == LIN:
-        return _scalar(b2 * row_dot(x, y) / x.shape[-1] + LIN_BIAS)
-    if family == SE:
-        return _scalar(b2 * np.exp(-row_dot(d, d) / (2.0 * gamma * gamma)))
-    # SC: squared cosine of scaled distance
-    return _scalar(b2 * np.cos(np.sqrt(row_dot(d, d)) / gamma) ** 2)
+    t = row_dot(x, y) if spec.families[layer] == LIN else row_dot(d, d)
+    return _scalar(_layer_kernel(spec, layer, t, x.shape[-1]))
 
 
 def _recurse(spec: KernelSpec, k, slope: bool = False):
@@ -155,23 +164,22 @@ def kernel_row_grad(spec: KernelSpec, q, rows) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     rows = np.asarray(rows, dtype=float)
-    family = spec.families[0]
-    beta, g = spec.beta[0], spec.gamma[0]
-    b2 = beta * beta
-    diff = q[..., None, :] - rows
-    if family == SE:
+    family, g, dim = spec.families[0], spec.gamma[0], q.shape[-1]
+    b2 = spec.beta[0] * spec.beta[0]
+    if family == LIN:
+        k1 = _layer_kernel(spec, 0, matvec(rows, q), dim)
+        jac = (b2 / dim) * rows
+    else:
+        diff = q[..., None, :] - rows
         sq = np.sum(diff * diff, axis=-1)
-        k1 = b2 * np.exp(-sq / (2.0 * g * g))
-        jac = -k1[..., None] * diff / (g * g)
-    elif family == LIN:
-        k1 = b2 * matvec(rows, q) / q.shape[-1] + LIN_BIAS
-        jac = (b2 / q.shape[-1]) * rows
-    else:  # SC
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        k1 = b2 * np.cos(r / g) ** 2
-        safe_r = np.where(r > 0, r, 1.0)[..., None]
-        unit = np.where(r[..., None] > 0, diff / safe_r, 0.0)
-        jac = (-b2 * np.sin(2.0 * r / g) / g)[..., None] * unit
+        k1 = _layer_kernel(spec, 0, sq, dim)
+        if family == SE:
+            jac = -k1[..., None] * diff / (g * g)
+        else:  # SC
+            r = np.sqrt(sq)
+            safe_r = np.where(r > 0, r, 1.0)[..., None]
+            unit = np.where(r[..., None] > 0, diff / safe_r, 0.0)
+            jac = (-b2 * np.sin(2.0 * r / g) / g)[..., None] * unit
     _, chain = _recurse(spec, k1, slope=True)
     return chain[..., None] * jac
 
@@ -186,25 +194,19 @@ def _stack(vectors) -> np.ndarray:
 
 
 def _base_matrix(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray, same: bool) -> np.ndarray:
-    family = spec.families[0]
-    beta, gamma = spec.beta[0], spec.gamma[0]
-    b2 = beta * beta
-    cross = rows @ cols.swapaxes(-2, -1)
-    if family == LIN:
-        return b2 * cross / rows.shape[-1] + LIN_BIAS
-    # Squared distances via the Gram expansion, clipped against rounding.
-    sq = (
-        np.sum(rows * rows, axis=-1)[..., :, None]
-        + np.sum(cols * cols, axis=-1)[..., None, :]
-        - 2.0 * cross
-    )
-    np.maximum(sq, 0.0, out=sq)
-    if same:
-        diag = np.arange(sq.shape[-1])
-        sq[..., diag, diag] = 0.0
-    if family == SE:
-        return b2 * np.exp(-sq / (2.0 * gamma * gamma))
-    return b2 * np.cos(np.sqrt(sq) / gamma) ** 2
+    t = rows @ cols.swapaxes(-2, -1)
+    if spec.families[0] != LIN:
+        # Squared distances via the Gram expansion, clipped against rounding.
+        t = (
+            np.sum(rows * rows, axis=-1)[..., :, None]
+            + np.sum(cols * cols, axis=-1)[..., None, :]
+            - 2.0 * t
+        )
+        np.maximum(t, 0.0, out=t)
+        if same:
+            diag = np.arange(t.shape[-1])
+            t[..., diag, diag] = 0.0
+    return _layer_kernel(spec, 0, t, rows.shape[-1])
 
 
 def gram(spec: KernelSpec, rows, cols) -> np.ndarray:

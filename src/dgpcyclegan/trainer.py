@@ -28,7 +28,7 @@ parameter trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -98,7 +98,7 @@ class TrainConfig:
 
 @dataclass
 class LossBreakdown:
-    """Named components of one training objective evaluation."""
+    """Batch-mean loss components of one training step and the objective they sum to."""
 
     cyc_w: float
     cyc_c: float
@@ -107,15 +107,10 @@ class LossBreakdown:
     identity: float
     p_fwd: float
     p_rev: float
-    lambda_p: float
     total: float
 
-    @staticmethod
-    def assemble(cyc_w, cyc_c, adv_fwd, adv_rev, identity, p_fwd, p_rev, lambda_p):
-        total = cyc_w + cyc_c + adv_fwd + adv_rev + identity + lambda_p * (p_fwd + p_rev)
-        return LossBreakdown(
-            cyc_w, cyc_c, adv_fwd, adv_rev, identity, p_fwd, p_rev, lambda_p, total
-        )
+
+LOSS_FIELDS = tuple(f.name for f in fields(LossBreakdown))
 
 
 class EpochBanks(NamedTuple):
@@ -136,23 +131,17 @@ class TrainState:
 
 
 @dataclass
-class EpochStats:
+class EpochStats(LossBreakdown):
+    """One epoch: the mean of its step records, its learning rate, sigma^2 and held-out scores."""
+
     epoch: int
     lr: float
-    cyc_w: float
-    cyc_c: float
-    adv_fwd: float
-    adv_rev: float
-    identity: float
-    p_fwd: float
-    p_rev: float
-    total: float
     mean_sigma2: float
     psnr: float
     ssim: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(EpochStats))
+CSV_COLUMNS = ("epoch", "lr", *LOSS_FIELDS, "mean_sigma2", "psnr", "ssim")
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -199,7 +188,8 @@ def generator_step_terms(
     variance and neighbor choice are constants of the step, so their only
     gradient contribution is through the supervised z-tap (plus, optionally,
     the query's kernel row).
-    Returns (components dict, grads_wc, grads_cw, posteriors, fakes).
+    Returns (components dict with the total objective, grads_wc, grads_cw,
+    posteriors, fakes).
     """
     iw, ic = _pixels(iw), _pixels(ic)
     n = len(iw)
@@ -233,8 +223,10 @@ def generator_step_terms(
         p_fwd = float(np.mean(pseudo_loss(post_f, z_c_t)))
         p_rev = float(np.mean(pseudo_loss(post_r, z_w_t)))
 
+    identity = id_loss_w + id_loss_c
+    total = cyc_w + cyc_c + adv_fwd + adv_rev + identity + lambda_p * (p_fwd + p_rev)
     comps = dict(cyc_w=cyc_w, cyc_c=cyc_c, adv_fwd=adv_fwd, adv_rev=adv_rev,
-                 identity=id_loss_w + id_loss_c, p_fwd=p_fwd, p_rev=p_rev)
+                 identity=identity, p_fwd=p_fwd, p_rev=p_rev, total=total)
     if not want_grads:
         return comps, None, None, (post_f, post_r), (fake_c, fake_w)
 
@@ -327,7 +319,7 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
     state.disc_w.params = adam_step(state.opt["disc_w"], state.disc_w.params, g_dw)
 
     state.step += 1
-    return LossBreakdown.assemble(**comps, lambda_p=config.lambda_p)
+    return LossBreakdown(**comps)
 
 
 @dataclass
@@ -384,21 +376,18 @@ def train_run(
         n_pairs = min(len(order_w), len(order_c))
 
         state.sigma2_log.clear()
-        comp_sums = np.zeros(8)  # cyc_w, cyc_c, adv_fwd, adv_rev, identity, p_fwd, p_rev, total
-        n_batches = 0
-        for start in range(0, n_pairs, config.batch_size):
+        batches = range(0, n_pairs, config.batch_size)
+        comp_sums = np.zeros(len(LOSS_FIELDS))
+        for start in batches:
             iw_batch = [data.weather_train[i] for i in order_w[start : start + config.batch_size]]
             ic_batch = [data.clean_train[i] for i in order_c[start : start + config.batch_size]]
-            bd = train_step(iw_batch, ic_batch, banks, state, config)
-            comp_sums += (bd.cyc_w, bd.cyc_c, bd.adv_fwd, bd.adv_rev,
-                          bd.identity, bd.p_fwd, bd.p_rev, bd.total)
-            n_batches += 1
+            comp_sums += astuple(train_step(iw_batch, ic_batch, banks, state, config))
 
         mean_sigma2 = float(np.mean(state.sigma2_log)) if state.sigma2_log else float("nan")
         do_eval = epoch % config.eval_interval == 0 or epoch == config.epochs - 1
         ep_psnr, ep_ssim = evaluate(state.gen_wc, data.eval_pairs) if (do_eval and data.eval_pairs) else (float("nan"),) * 2
-        means = comp_sums / max(n_batches, 1)
-        history.append(EpochStats(epoch, lr, *means, mean_sigma2, ep_psnr, ep_ssim))
+        means = dict(zip(LOSS_FIELDS, comp_sums / len(batches)))
+        history.append(EpochStats(**means, epoch=epoch, lr=lr, mean_sigma2=mean_sigma2, psnr=ep_psnr, ssim=ep_ssim))
 
         if out is not None:
             samples = data.eval_pairs[:sample_count] if sample_count > 0 else []

@@ -73,6 +73,16 @@ def test_seed_env_fallback(monkeypatch):
     assert build_run_config({}).train.seed == 0
 
 
+def test_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DGP_SEED", "abc")
+    path = tmp_path / "noseed.cfg"
+    path.write_text(FAST_KEYS.replace("seed = 3\n", ""))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert "DGP_SEED" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize(
     "lines, key",
     [
@@ -88,6 +98,13 @@ def test_seed_env_fallback(monkeypatch):
         ("eval_interval = 0", "eval_interval"),
         ("checkpoint_interval = 0", "checkpoint_interval"),
         ("img_side = 8", "img_side"),
+        ("seed = -1", "seed"),
+        ("data_seed = -2", "data_seed"),
+        ("lr = 0", "lr"),
+        ("lr = nan", "lr"),
+        ("lambda_p = inf", "lambda_p"),
+        ("kernel_beta = inf", "kernel_beta"),
+        ("streak_amplitude = nan", "streak_amplitude"),
     ],
 )
 def test_train_refuses_unusable_value(fast_config, tmp_path, capsys, lines, key):
@@ -96,6 +113,13 @@ def test_train_refuses_unusable_value(fast_config, tmp_path, capsys, lines, key)
     out = tmp_path / "run"
     assert main(["train", "--config", str(path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_train_refuses_negative_seed_flag(fast_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(fast_config), "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be at least 0" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
 
 
@@ -210,3 +234,20 @@ def test_ablate_single_point_matches_train(fast_config, tmp_path):
     cols = csv_rows[0].split(",")
     psnrs = [float(r.split(",")[cols.index("psnr")]) for r in csv_rows[1:]]
     assert abs(float(row[1]) - float(np.mean(psnrs[-5:]))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--axis", "L", "--layers", "0"], "gp_depth"),
+        (["--axis", "lambda", "--lambdas=-1"], "lambda_p"),
+        (["--axis", "neighbors", "--neighbors-grid", "x"], "n_neighbors"),
+        (["--layers", "1", "--neighbors-grid", "4", "--lambdas", "0.03,nan"], "lambda_p"),
+    ],
+    ids=["layers-0", "lambdas-negative", "neighbors-not-int", "all-axes-lambdas-nan"],
+)
+def test_ablate_refuses_unusable_grid_value(fast_config, tmp_path, capsys, flags, key):
+    out = tmp_path / "abl"
+    assert main(["ablate", "--config", str(fast_config), "--out", str(out), *flags]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.glob("summary_*.csv"))

@@ -97,6 +97,11 @@ def test_psnr_zero_db_for_full_range_error():
     assert abs(psnr(np.zeros((8, 8)), np.ones((8, 8)))) < 1e-12
 
 
+def test_psnr_of_nan_restoration_is_nan():
+    # a diverged run must not score the cap
+    assert np.isnan(psnr(np.full((16, 16), np.nan), np.zeros((16, 16))))
+
+
 def test_psnr_symmetry_and_monotone_in_noise():
     rng = np.random.default_rng(51)
     a = rng.uniform(0.3, 0.7, (16, 16))

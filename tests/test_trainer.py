@@ -7,7 +7,6 @@ from dgpcyclegan.nets import Discriminator
 from dgpcyclegan.trainer import (
     CSV_COLUMNS,
     DeskData,
-    LossBreakdown,
     TrainConfig,
     build_epoch_banks,
     discriminator_step_terms,
@@ -217,7 +216,7 @@ def test_train_step_breakdown_reassembly():
     state = init_state(cfg)
     banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
     bd = train_step(data.weather_train[:2], data.clean_train[:2], banks, state, cfg)
-    expected = bd.cyc_w + bd.cyc_c + bd.adv_fwd + bd.adv_rev + bd.identity + bd.lambda_p * (bd.p_fwd + bd.p_rev)
+    expected = bd.cyc_w + bd.cyc_c + bd.adv_fwd + bd.adv_rev + bd.identity + cfg.lambda_p * (bd.p_fwd + bd.p_rev)
     assert bd.total == expected
     for name in ("cyc_w", "cyc_c", "adv_fwd", "adv_rev", "identity"):
         assert getattr(bd, name) >= 0.0
@@ -298,11 +297,6 @@ def test_metrics_csv_deterministic(tmp_path):
         return path.read_bytes()
 
     assert run(tmp_path / "a.csv") == run(tmp_path / "b.csv")
-
-
-def test_loss_breakdown_assemble_identity():
-    bd = LossBreakdown.assemble(0.1, 0.2, 0.3, 0.4, 0.5, 1.5, 2.5, 0.03)
-    assert bd.total == 0.1 + 0.2 + 0.3 + 0.4 + 0.5 + 0.03 * (1.5 + 2.5)
 
 
 def test_sigma2_logged_only_when_supervisor_enabled():
