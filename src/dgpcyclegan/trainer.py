@@ -120,6 +120,12 @@ class EpochBanks(NamedTuple):
 
 @dataclass
 class TrainState:
+    """Networks, optimizer states and the gradient buffers every step reuses.
+
+    One buffer per generator and one shared by the two discriminators, which
+    train_step updates one after the other.
+    """
+
     gen_wc: Generator
     gen_cw: Generator
     disc_c: Discriminator
@@ -128,6 +134,14 @@ class TrainState:
     kernel: KernelSpec
     step: int = 0
     sigma2_log: list = field(default_factory=list)
+    grad_wc: np.ndarray = field(init=False, repr=False)
+    grad_cw: np.ndarray = field(init=False, repr=False)
+    grad_disc: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.grad_wc = np.empty(self.gen_wc.n_params)
+        self.grad_cw = np.empty(self.gen_cw.n_params)
+        self.grad_disc = np.empty(self.disc_c.n_params)
 
 
 @dataclass
@@ -179,6 +193,7 @@ def generator_step_terms(
     gen_wc: Generator, gen_cw: Generator, disc_c: Discriminator, disc_w: Discriminator, iw, ic, *,
     lambda_p: float, kernel: KernelSpec | None = None, banks: EpochBanks | None = None,
     n_neighbors: int = 32, fixed_posteriors=None, grad_through_query: bool = False, want_grads: bool = True,
+    out_wc=None, out_cw=None,
 ):
     """Batch-mean loss components and generator gradients for B unpaired pairs.
 
@@ -188,6 +203,8 @@ def generator_step_terms(
     variance and neighbor choice are constants of the step, so their only
     gradient contribution is through the supervised z-tap (plus, optionally,
     the query's kernel row).
+    The generator gradients are written into out_wc / out_cw when given,
+    else into fresh arrays.
     Returns (components dict with the total objective, grads_wc, grads_cw,
     posteriors, fakes).
     """
@@ -243,23 +260,25 @@ def generator_step_terms(
     # Level 2 backward: cycle L1 at the reconstructions plus pseudo grads at
     # the taps; the adversarial push on the fakes comes through the (frozen)
     # discriminators.
-    g_cw_2, g_fake_c = gen_cw.backward(cache_f2, g_rec_w, grad_s=grad_s_f, grad_z=grad_z_f)
-    g_wc_2, g_fake_w = gen_wc.backward(cache_g2, g_rec_c, grad_s=grad_s_r, grad_z=grad_z_r)
-    _, g_fake_c_adv = disc_c.backward(cache_dc, g_score_c)
-    _, g_fake_w_adv = disc_w.backward(cache_dw, g_score_w)
-    # Level 1 backward, one call per generator over its stacked rows.
-    g_wc_1, _ = gen_wc.backward(cache_g1, np.concatenate([g_fake_c + g_fake_c_adv, g_id_c]))
-    g_cw_1, _ = gen_cw.backward(cache_f1, np.concatenate([g_fake_w + g_fake_w_adv, g_id_w]))
-    return comps, g_wc_1 + g_wc_2, g_cw_1 + g_cw_2, (post_f, post_r), (fake_c, fake_w)
+    g_cw, g_fake_c = gen_cw.backward(cache_f2, g_rec_w, grad_s=grad_s_f, grad_z=grad_z_f, out=out_cw)
+    g_wc, g_fake_w = gen_wc.backward(cache_g2, g_rec_c, grad_s=grad_s_r, grad_z=grad_z_r, out=out_wc)
+    _, g_fake_c_adv = disc_c.backward(cache_dc, g_score_c, param_grads=False)
+    _, g_fake_w_adv = disc_w.backward(cache_dw, g_score_w, param_grads=False)
+    # Level 1 backward, one call per generator over its stacked rows, added
+    # to the level-2 gradients.
+    gen_wc.backward(cache_g1, np.concatenate([g_fake_c + g_fake_c_adv, g_id_c]), out=g_wc, accumulate=True)
+    gen_cw.backward(cache_f1, np.concatenate([g_fake_w + g_fake_w_adv, g_id_w]), out=g_cw, accumulate=True)
+    return comps, g_wc, g_cw, (post_f, post_r), (fake_c, fake_w)
 
 
-def discriminator_step_terms(disc: Discriminator, real, fake, want_grads: bool = True):
+def discriminator_step_terms(disc: Discriminator, real, fake, want_grads: bool = True, out=None):
     """Least-squares discriminator objective and its parameter gradients.
 
     real and fake are stacks of B images; the discriminator runs once on
     [real; fake] and the loss is the batch mean of
     0.5 * ((D(real) - 1)^2 + D(fake)^2).  The fakes are detached images: no
-    gradient flows back to the generator.
+    gradient flows back to the generator.  The gradients go into `out` when
+    given, else into a fresh array.
     """
     real, fake = _pixels(real), _pixels(fake)
     scores, cache = disc.forward(np.concatenate([real, fake]))
@@ -267,7 +286,7 @@ def discriminator_step_terms(disc: Discriminator, real, fake, want_grads: bool =
     loss, g_scores = _least_squares(scores, target)
     if not want_grads:
         return loss, None
-    grads, _ = disc.backward(cache, g_scores)
+    grads, _ = disc.backward(cache, g_scores, out=out)
     return loss, grads
 
 
@@ -295,7 +314,8 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
     """One optimizer step over a batch of independent unpaired samples.
 
     Gradients are batch means; generators update first, then each
-    discriminator on its own objective against the pre-update fakes.
+    discriminator on its own objective against the pre-update fakes.  All
+    gradients go into the state's buffers, and Adam updates in place.
     """
     iw, ic = _pixels(iw_batch), _pixels(ic_batch)
     use_banks = banks if config.dgp_enabled else None
@@ -306,6 +326,8 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
         banks=use_banks,
         n_neighbors=config.n_neighbors,
         grad_through_query=config.grad_through_query,
+        out_wc=state.grad_wc,
+        out_cw=state.grad_cw,
     )
     if use_banks is not None:
         state.sigma2_log.extend([*post_f.variance, *post_r.variance])
@@ -313,9 +335,11 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
     state.gen_wc.params = adam_step(state.opt["gen_wc"], state.gen_wc.params, g_wc)
     state.gen_cw.params = adam_step(state.opt["gen_cw"], state.gen_cw.params, g_cw)
 
-    _, g_dc = discriminator_step_terms(state.disc_c, ic, fake_c)
-    _, g_dw = discriminator_step_terms(state.disc_w, iw, fake_w)
+    # The discriminators are independent, so each updates before the next
+    # one's gradient reuses the shared buffer.
+    _, g_dc = discriminator_step_terms(state.disc_c, ic, fake_c, out=state.grad_disc)
     state.disc_c.params = adam_step(state.opt["disc_c"], state.disc_c.params, g_dc)
+    _, g_dw = discriminator_step_terms(state.disc_w, iw, fake_w, out=state.grad_disc)
     state.disc_w.params = adam_step(state.opt["disc_w"], state.disc_w.params, g_dw)
 
     state.step += 1

@@ -3,8 +3,9 @@
 Each suite cross-checks an optimized code path against an independent route:
 hand-derived values, brute-force joint-Gaussian conditioning through an
 explicit dense inverse, central finite differences for every gradient, and
-per-row calls for every row-batched pass.  Suites only ever touch the
-filesystem through a temporary directory.
+per-row calls for every row-batched pass, and fresh-array arithmetic for
+every in-place update.  Suites only ever touch the filesystem through a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import MalformedFile, NotPositiveDefinite, NotSymmetric
 from .gp_supervisor import FeatureBank, GpPosterior, gp_condition, pseudo_loss
 from .kernels import KernelSpec, base_kernel, effective_kernel, gram
 from .linalg import cholesky, solve_posdef
-from .nets import Discriminator, Generator
+from .nets import ADAM_BLOCK, AdamState, Discriminator, Generator, adam_step
 from .trainer import EpochBanks, generator_step_terms
 
 
@@ -71,52 +72,84 @@ def brute_force_condition(spec: KernelSpec, s_rows: np.ndarray, z_rows: np.ndarr
 # --- suites ----------------------------------------------------------------
 
 
+class _Check:
+    """One row of a suite: `with _Check(rows, name) as check:` runs its body.
+
+    The body reports through check.done(ok, detail).  A body that raises
+    becomes a FAIL row holding the exception type and text instead, and the
+    suite goes on with its next check.
+    """
+
+    def __init__(self, rows: list, name: str):
+        self.rows = rows
+        self.name = name
+
+    def __enter__(self) -> "_Check":
+        return self
+
+    def done(self, ok, detail: str) -> None:
+        self.rows.append(CheckResult(self.name, bool(ok), detail))
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None or not issubclass(exc_type, Exception):
+            return False
+        self.rows.append(CheckResult(self.name, False, f"raised {exc_type.__name__}: {exc}"))
+        return True
+
+
 def linalg_suite() -> list:
     out = []
     rng = np.random.default_rng(101)
 
-    f = cholesky(np.eye(2))
-    out.append(CheckResult("identity factorization", np.allclose(f.lower, np.eye(2)) and f.jitter_used == 0.0, "L == I, jitter 0"))
+    with _Check(out, "identity factorization") as check:
+        f = cholesky(np.eye(2))
+        check.done(np.allclose(f.lower, np.eye(2)) and f.jitter_used == 0.0, "L == I, jitter 0")
 
-    f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    expect = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-    out.append(CheckResult("hand 2x2 factorization", float(np.max(np.abs(f.lower - expect))) < 1e-12, "L == [[2,0],[1,sqrt(2)]]"))
+    with _Check(out, "hand 2x2 factorization") as check:
+        f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        expect = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
+        check.done(float(np.max(np.abs(f.lower - expect))) < 1e-12, "L == [[2,0],[1,sqrt(2)]]")
 
-    try:
-        cholesky(np.diag([1.0, -1.0]))
-        out.append(CheckResult("indefinite rejected", False, "no error raised"))
-    except NotPositiveDefinite:
-        out.append(CheckResult("indefinite rejected", True, "NotPositiveDefinite"))
+    with _Check(out, "indefinite rejected") as check:
+        try:
+            cholesky(np.diag([1.0, -1.0]))
+            check.done(False, "no error raised")
+        except NotPositiveDefinite:
+            check.done(True, "NotPositiveDefinite")
 
-    try:
-        cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        out.append(CheckResult("asymmetric rejected", False, "no error raised"))
-    except NotSymmetric:
-        out.append(CheckResult("asymmetric rejected", True, "NotSymmetric"))
+    with _Check(out, "asymmetric rejected") as check:
+        try:
+            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            check.done(False, "no error raised")
+        except NotSymmetric:
+            check.done(True, "NotSymmetric")
 
-    x = solve_posdef(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])), np.array([1.0, 0.0]))
-    out.append(CheckResult("hand 2x2 solve", float(np.max(np.abs(x - [0.375, -0.25]))) < 1e-12, "x == (0.375, -0.25)"))
+    with _Check(out, "hand 2x2 solve") as check:
+        x = solve_posdef(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])), np.array([1.0, 0.0]))
+        check.done(float(np.max(np.abs(x - [0.375, -0.25]))) < 1e-12, "x == (0.375, -0.25)")
 
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(1, 17))
-        b_mat = rng.standard_normal((n, n))
-        a = b_mat.T @ b_mat + np.eye(n)
-        rhs = rng.standard_normal(n)
-        f = cholesky(a)
-        x = solve_posdef(f, rhs)
-        res = np.linalg.norm((a + f.jitter_used * np.eye(n)) @ x - rhs)
-        worst = max(worst, res / (1.0 + np.linalg.norm(rhs)))
-    out.append(CheckResult("solve residuals (200 random)", worst <= 1e-8, f"worst rel residual {worst:.2e}"))
+    with _Check(out, "solve residuals (200 random)") as check:
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(1, 17))
+            b_mat = rng.standard_normal((n, n))
+            a = b_mat.T @ b_mat + np.eye(n)
+            rhs = rng.standard_normal(n)
+            f = cholesky(a)
+            x = solve_posdef(f, rhs)
+            res = np.linalg.norm((a + f.jitter_used * np.eye(n)) @ x - rhs)
+            worst = max(worst, res / (1.0 + np.linalg.norm(rhs)))
+        check.done(worst <= 1e-8, f"worst rel residual {worst:.2e}")
 
-    worst = 0.0
-    for n in range(1, 17):
-        b_mat = rng.standard_normal((n, n))
-        a = b_mat.T @ b_mat + np.eye(n)
-        f = cholesky(a)
-        recon = f.lower @ f.lower.T - (a + f.jitter_used * np.eye(n))
-        worst = max(worst, float(np.max(np.abs(recon))) / float(np.max(np.abs(a))))
-    out.append(CheckResult("factor round-trip (dims 1..16)", worst <= 1e-10, f"worst scaled error {worst:.2e}"))
+    with _Check(out, "factor round-trip (dims 1..16)") as check:
+        worst = 0.0
+        for n in range(1, 17):
+            b_mat = rng.standard_normal((n, n))
+            a = b_mat.T @ b_mat + np.eye(n)
+            f = cholesky(a)
+            recon = f.lower @ f.lower.T - (a + f.jitter_used * np.eye(n))
+            worst = max(worst, float(np.max(np.abs(recon))) / float(np.max(np.abs(a))))
+        check.done(worst <= 1e-10, f"worst scaled error {worst:.2e}")
 
     return out
 
@@ -128,59 +161,66 @@ def kernels_suite() -> list:
 
     x = np.array([1.0, 0.0])
     y = np.array([0.0, 1.0])  # squared distance exactly 2
-    out.append(CheckResult("SE zero distance", base_kernel(spec1, 0, x, x) == 1.0, "k(x,x) == 1"))
-    out.append(CheckResult("SE at squared distance 2", abs(base_kernel(spec1, 0, x, y) - np.exp(-1.0)) < 1e-15, "k == exp(-1)"))
+    with _Check(out, "SE zero distance") as check:
+        check.done(base_kernel(spec1, 0, x, x) == 1.0, "k(x,x) == 1")
+    with _Check(out, "SE at squared distance 2") as check:
+        check.done(abs(base_kernel(spec1, 0, x, y) - np.exp(-1.0)) < 1e-15, "k == exp(-1)")
 
-    ok = True
-    for fam in ("se", "lin", "sc"):
-        spec = KernelSpec.homogeneous(family=fam, depth=1, beta=1.3, gamma=0.7)
-        for _ in range(10):
-            u, v = rng.standard_normal((2, 5))
-            ok = ok and base_kernel(spec, 0, u, v) == base_kernel(spec, 0, v, u)
-    out.append(CheckResult("symmetry in (x, y)", ok, "all families"))
+    with _Check(out, "symmetry in (x, y)") as check:
+        ok = True
+        for fam in ("se", "lin", "sc"):
+            spec = KernelSpec.homogeneous(family=fam, depth=1, beta=1.3, gamma=0.7)
+            for _ in range(10):
+                u, v = rng.standard_normal((2, 5))
+                ok = ok and base_kernel(spec, 0, u, v) == base_kernel(spec, 0, v, u)
+        check.done(ok, "all families")
 
-    spec = KernelSpec.homogeneous(depth=1, beta=1.7, gamma=0.9)
-    worst = max(
-        abs(effective_kernel(spec, u, v) - base_kernel(spec, 0, u, v))
-        for u, v in (rng.standard_normal((2, 4)) for _ in range(10))
-    )
-    out.append(CheckResult("depth-1 equals base kernel", worst <= 1e-15, f"max diff {worst:.1e}"))
-
-    ok = True
-    for depth in (1, 2, 3, 4):
-        spec = KernelSpec(
-            families=("se",) * depth,
-            beta=tuple(0.8 + 0.2 * i for i in range(depth)),
-            gamma=tuple(1.1 + 0.1 * i for i in range(depth)),
+    with _Check(out, "depth-1 equals base kernel") as check:
+        spec = KernelSpec.homogeneous(depth=1, beta=1.7, gamma=0.9)
+        worst = max(
+            abs(effective_kernel(spec, u, v) - base_kernel(spec, 0, u, v))
+            for u, v in (rng.standard_normal((2, 4)) for _ in range(10))
         )
-        v = rng.standard_normal(6)
-        ok = ok and abs(effective_kernel(spec, v, v) - spec.signal_var) <= 1e-12
-    out.append(CheckResult("self-similarity equals beta_L^2", ok, "depths 1..4"))
+        check.done(worst <= 1e-15, f"max diff {worst:.1e}")
 
-    spec2 = KernelSpec.homogeneous(depth=2)
-    val = effective_kernel(spec2, x, y)
-    out.append(CheckResult("depth-2 hand value", abs(val - 0.664567) < 1e-6, f"{val:.6f} vs 0.664567"))
+    with _Check(out, "self-similarity equals beta_L^2") as check:
+        ok = True
+        for depth in (1, 2, 3, 4):
+            spec = KernelSpec(
+                families=("se",) * depth,
+                beta=tuple(0.8 + 0.2 * i for i in range(depth)),
+                gamma=tuple(1.1 + 0.1 * i for i in range(depth)),
+            )
+            v = rng.standard_normal(6)
+            ok = ok and abs(effective_kernel(spec, v, v) - spec.signal_var) <= 1e-12
+        check.done(ok, "depths 1..4")
+
+    with _Check(out, "depth-2 hand value") as check:
+        val = effective_kernel(KernelSpec.homogeneous(depth=2), x, y)
+        check.done(abs(val - 0.664567) < 1e-6, f"{val:.6f} vs 0.664567")
 
     spec4 = KernelSpec.homogeneous(depth=4)
-    ok = True
-    max_jitter = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 33))
-        d = int(rng.integers(1, 65))
-        rows = rng.standard_normal((n, d))
-        k = gram(spec4, rows, rows)
-        if not np.array_equal(k, k.T):
-            ok = False
-        f = cholesky(k + spec4.noise_var * np.eye(n))
-        max_jitter = max(max_jitter, f.jitter_used)
-    out.append(CheckResult("gram + noise is PD (100 sets)", ok and max_jitter == 0.0, f"max jitter {max_jitter:g}"))
+    with _Check(out, "gram + noise is PD (100 sets)") as check:
+        ok = True
+        max_jitter = 0.0
+        for _ in range(100):
+            n = int(rng.integers(2, 33))
+            d = int(rng.integers(1, 65))
+            rows = rng.standard_normal((n, d))
+            k = gram(spec4, rows, rows)
+            if not np.array_equal(k, k.T):
+                ok = False
+            f = cholesky(k + spec4.noise_var * np.eye(n))
+            max_jitter = max(max_jitter, f.jitter_used)
+        check.done(ok and max_jitter == 0.0, f"max jitter {max_jitter:g}")
 
-    base_v = np.zeros(3)
-    dists = np.linspace(0.1, 4.0, 15)
-    vals = [effective_kernel(spec4, base_v, np.array([d, 0.0, 0.0])) for d in dists]
-    mono = all(a > b for a, b in zip(vals, vals[1:]))
-    bounded = all(0.0 < v <= 1.0 for v in vals)
-    out.append(CheckResult("SE monotone decreasing and in (0, 1]", mono and bounded, "15 sorted distances"))
+    with _Check(out, "SE monotone decreasing and in (0, 1]") as check:
+        base_v = np.zeros(3)
+        dists = np.linspace(0.1, 4.0, 15)
+        vals = [effective_kernel(spec4, base_v, np.array([d, 0.0, 0.0])) for d in dists]
+        mono = all(a > b for a, b in zip(vals, vals[1:]))
+        bounded = all(0.0 < v <= 1.0 for v in vals)
+        check.done(mono and bounded, "15 sorted distances")
     return out
 
 
@@ -191,68 +231,75 @@ def gp_suite() -> list:
 
     z = np.array([0.5, -2.0])
     bank = FeatureBank("clean", s=np.array([[1.0, 2.0]]), z=z[None, :])
-    post = gp_condition(spec1, bank, [0], np.array([1.0, 2.0]))
-    ok = np.allclose(post.pseudo_label, z / 1.01, atol=1e-12)
-    ok = ok and abs(post.variance - (1.0 - 1.0 / 1.01 + 0.01)) < 1e-12
-    out.append(CheckResult("one-point closed form", ok, "mean z/1.01, var 0.019901"))
+    with _Check(out, "one-point closed form") as check:
+        post = gp_condition(spec1, bank, [0], np.array([1.0, 2.0]))
+        ok = np.allclose(post.pseudo_label, z / 1.01, atol=1e-12)
+        ok = ok and abs(post.variance - (1.0 - 1.0 / 1.01 + 0.01)) < 1e-12
+        check.done(ok, "mean z/1.01, var 0.019901")
 
-    spec0 = KernelSpec.homogeneous(depth=1, noise_var=0.0)
-    post = gp_condition(spec0, bank, [0], np.array([1.0, 2.0]))
-    out.append(CheckResult("noiseless interpolation", bool(np.all(post.pseudo_label == z)), "pseudo-label equals stored z"))
+    with _Check(out, "noiseless interpolation") as check:
+        spec0 = KernelSpec.homogeneous(depth=1, noise_var=0.0)
+        post = gp_condition(spec0, bank, [0], np.array([1.0, 2.0]))
+        check.done(np.all(post.pseudo_label == z), "pseudo-label equals stored z")
 
     spec4 = KernelSpec.homogeneous(depth=4)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 17))
-        ds = int(rng.integers(1, 9))
-        dz = int(rng.integers(1, 9))
-        s_rows = rng.standard_normal((n, ds))
-        z_rows = rng.standard_normal((n, dz))
-        q = rng.standard_normal(ds)
+    with _Check(out, "brute-force oracle equivalence (100)") as check:
+        worst = 0.0
+        for _ in range(100):
+            n = int(rng.integers(1, 17))
+            ds = int(rng.integers(1, 9))
+            dz = int(rng.integers(1, 9))
+            s_rows = rng.standard_normal((n, ds))
+            z_rows = rng.standard_normal((n, dz))
+            q = rng.standard_normal(ds)
+            bank = FeatureBank("clean", s=s_rows, z=z_rows)
+            post = gp_condition(spec4, bank, np.arange(n), q)
+            mean, var = brute_force_condition(spec4, s_rows, z_rows, q)
+            worst = max(worst, _rel(post.pseudo_label, mean), abs(post.variance - var) / max(abs(var), 1e-300))
+        check.done(worst <= 1e-8, f"worst rel err {worst:.2e}")
+
+    with _Check(out, "permutation invariance") as check:
+        s_rows = rng.standard_normal((8, 4))
+        z_rows = rng.standard_normal((8, 3))
+        q = rng.standard_normal(4)
         bank = FeatureBank("clean", s=s_rows, z=z_rows)
-        post = gp_condition(spec4, bank, np.arange(n), q)
-        mean, var = brute_force_condition(spec4, s_rows, z_rows, q)
-        worst = max(worst, _rel(post.pseudo_label, mean), abs(post.variance - var) / max(abs(var), 1e-300))
-    out.append(CheckResult("brute-force oracle equivalence (100)", worst <= 1e-8, f"worst rel err {worst:.2e}"))
+        post_a = gp_condition(spec4, bank, np.arange(8), q)
+        perm = rng.permutation(8)
+        bank_p = FeatureBank("clean", s=s_rows[perm], z=z_rows[perm])
+        post_b = gp_condition(spec4, bank_p, np.arange(8), q)
+        ok = float(np.max(np.abs(post_a.pseudo_label - post_b.pseudo_label))) <= 1e-12
+        ok = ok and abs(post_a.variance - post_b.variance) <= 1e-12
+        check.done(ok, "mean and variance stable")
 
-    s_rows = rng.standard_normal((8, 4))
-    z_rows = rng.standard_normal((8, 3))
-    q = rng.standard_normal(4)
-    bank = FeatureBank("clean", s=s_rows, z=z_rows)
-    post_a = gp_condition(spec4, bank, np.arange(8), q)
-    perm = rng.permutation(8)
-    bank_p = FeatureBank("clean", s=s_rows[perm], z=z_rows[perm])
-    post_b = gp_condition(spec4, bank_p, np.arange(8), q)
-    ok = float(np.max(np.abs(post_a.pseudo_label - post_b.pseudo_label))) <= 1e-12
-    ok = ok and abs(post_a.variance - post_b.variance) <= 1e-12
-    out.append(CheckResult("permutation invariance", ok, "mean and variance stable"))
+    with _Check(out, "variance bounds and reduction") as check:
+        ok = True
+        for _ in range(20):
+            n = int(rng.integers(2, 10))
+            s_rows = rng.standard_normal((n, 3))
+            z_rows = rng.standard_normal((n, 2))
+            q = rng.standard_normal(3)
+            bank = FeatureBank("clean", s=s_rows, z=z_rows)
+            prev = None
+            for m in range(1, n + 1):
+                post = gp_condition(spec4, bank, np.arange(m), q)
+                cap = spec4.signal_var + spec4.noise_var
+                ok = ok and spec4.noise_var - 1e-12 <= post.variance <= cap + 1e-9
+                if prev is not None:
+                    ok = ok and post.variance <= prev + 1e-10
+                prev = post.variance
+        check.done(ok, "nested neighbor sets")
 
-    ok = True
-    for _ in range(20):
-        n = int(rng.integers(2, 10))
-        s_rows = rng.standard_normal((n, 3))
-        z_rows = rng.standard_normal((n, 2))
-        q = rng.standard_normal(3)
-        bank = FeatureBank("clean", s=s_rows, z=z_rows)
-        prev = None
-        for m in range(1, n + 1):
-            post = gp_condition(spec4, bank, np.arange(m), q)
-            cap = spec4.signal_var + spec4.noise_var
-            ok = ok and spec4.noise_var - 1e-12 <= post.variance <= cap + 1e-9
-            if prev is not None:
-                ok = ok and post.variance <= prev + 1e-10
-            prev = post.variance
-    out.append(CheckResult("variance bounds and reduction", ok, "nested neighbor sets"))
+    with _Check(out, "pseudo-loss value and multiplier") as check:
+        post = GpPosterior(pseudo_label=np.zeros(2), variance=0.5, neighbor_ids=np.arange(1))
+        hand = pseudo_loss(post, np.array([1.0, 1.0]))
+        ok = abs(hand - (4.0 + 2.0 * np.log(0.5))) < 1e-12
+        vs = [pseudo_loss(GpPosterior(np.zeros(2), v, np.arange(1)), np.array([1.0, 1.0])) - 2 * np.log(v) for v in (0.25, 0.5, 1.0, 2.0)]
+        ok = ok and all(a > b for a, b in zip(vs, vs[1:]))
+        check.done(ok, "hand value, 1/var weighting")
 
-    post = GpPosterior(pseudo_label=np.zeros(2), variance=0.5, neighbor_ids=np.arange(1))
-    hand = pseudo_loss(post, np.array([1.0, 1.0]))
-    ok = abs(hand - (4.0 + 2.0 * np.log(0.5))) < 1e-12
-    vs = [pseudo_loss(GpPosterior(np.zeros(2), v, np.arange(1)), np.array([1.0, 1.0])) - 2 * np.log(v) for v in (0.25, 0.5, 1.0, 2.0)]
-    ok = ok and all(a > b for a, b in zip(vs, vs[1:]))
-    out.append(CheckResult("pseudo-loss value and multiplier", ok, "hand value, 1/var weighting"))
-
-    rel = max(gp_rows_error(seed) for seed in range(3))
-    out.append(CheckResult("stacked GP vs per-row calls (B = 1..4, 3 seeds)", rel <= 1e-12, f"worst rel err {rel:.2e}"))
+    with _Check(out, "stacked GP vs per-row calls (B = 1..4, 3 seeds)") as check:
+        rel = max(gp_rows_error(seed) for seed in range(3))
+        check.done(rel <= 1e-12, f"worst rel err {rel:.2e}")
     return out
 
 
@@ -288,77 +335,87 @@ def grads_suite() -> list:
     out = []
     rng = np.random.default_rng(404)
 
-    worst = 0.0
-    for _ in range(50):
-        d = int(rng.integers(1, 9))
-        post = GpPosterior(
-            pseudo_label=rng.standard_normal(d),
-            variance=float(rng.uniform(0.05, 3.0)),
-            neighbor_ids=np.arange(1),
-        )
-        z = rng.standard_normal(d)
-        analytic = gp_supervisor.pseudo_loss_grad(post, z)
-        numeric = fd_grad(lambda v: pseudo_loss(post, v), z.copy())
-        worst = max(worst, _rel(analytic, numeric))
-    out.append(CheckResult("pseudo-loss gradient vs FD (50)", worst < 1e-6, f"worst rel err {worst:.2e}"))
+    with _Check(out, "pseudo-loss gradient vs FD (50)") as check:
+        worst = 0.0
+        for _ in range(50):
+            d = int(rng.integers(1, 9))
+            post = GpPosterior(
+                pseudo_label=rng.standard_normal(d),
+                variance=float(rng.uniform(0.05, 3.0)),
+                neighbor_ids=np.arange(1),
+            )
+            z = rng.standard_normal(d)
+            analytic = gp_supervisor.pseudo_loss_grad(post, z)
+            numeric = fd_grad(lambda v: pseudo_loss(post, v), z.copy())
+            worst = max(worst, _rel(analytic, numeric))
+        check.done(worst < 1e-6, f"worst rel err {worst:.2e}")
 
-    gen = Generator(9, hidden=(5, 4, 4, 5), tap_s=2, tap_z=3, rng=rng)
-    x = rng.standard_normal(9)
-    wy = rng.standard_normal(9)
-    ws = rng.standard_normal(4)
-    wz = rng.standard_normal(4)
+    with _Check(out, "generator backward vs FD") as check:
+        gen = Generator(9, hidden=(5, 4, 4, 5), tap_s=2, tap_z=3, rng=rng)
+        x = rng.standard_normal(9)
+        wy = rng.standard_normal(9)
+        ws = rng.standard_normal(4)
+        wz = rng.standard_normal(4)
 
-    def gen_scalar(params):
-        gen.params = params
-        y, s, z, _ = gen.forward(x)
-        return float(wy @ y.reshape(-1) + ws @ s + wz @ z)
+        def gen_scalar(params):
+            gen.params = params
+            y, s, z, _ = gen.forward(x)
+            return float(wy @ y.reshape(-1) + ws @ s + wz @ z)
 
-    base = gen.params.copy()
-    _, s0, z0, cache = gen.forward(x)
-    analytic, _ = gen.backward(cache, wy, grad_s=ws, grad_z=wz)
-    numeric = fd_grad(gen_scalar, base.copy())
-    gen.params = base
-    rel = _rel(analytic, numeric)
-    out.append(CheckResult("generator backward vs FD", rel < 1e-4, f"rel err {rel:.2e}"))
+        base = gen.params.copy()
+        _, s0, z0, cache = gen.forward(x)
+        analytic, _ = gen.backward(cache, wy, grad_s=ws, grad_z=wz)
+        numeric = fd_grad(gen_scalar, base.copy())
+        gen.params = base
+        rel = _rel(analytic, numeric)
+        check.done(rel < 1e-4, f"rel err {rel:.2e}")
 
-    disc = Discriminator(9, hidden=(5,), rng=rng)
-    xd = rng.standard_normal(9)
+    with _Check(out, "discriminator backward vs FD") as check:
+        disc = Discriminator(9, hidden=(5,), rng=rng)
+        xd = rng.standard_normal(9)
 
-    def disc_scalar(params):
-        disc.params = params
-        score, _ = disc.forward(xd)
-        return score
+        def disc_scalar(params):
+            disc.params = params
+            score, _ = disc.forward(xd)
+            return score
 
-    base_d = disc.params.copy()
-    _, cache = disc.forward(xd)
-    analytic, _ = disc.backward(cache, 1.0)
-    numeric = fd_grad(disc_scalar, base_d.copy())
-    disc.params = base_d
-    rel = _rel(analytic, numeric)
-    out.append(CheckResult("discriminator backward vs FD", rel < 1e-4, f"rel err {rel:.2e}"))
+        base_d = disc.params.copy()
+        _, cache = disc.forward(xd)
+        analytic, _ = disc.backward(cache, 1.0)
+        numeric = fd_grad(disc_scalar, base_d.copy())
+        disc.params = base_d
+        rel = _rel(analytic, numeric)
+        check.done(rel < 1e-4, f"rel err {rel:.2e}")
 
-    rel = max(end_to_end_grad_error(seed) for seed in range(5))
-    out.append(CheckResult("composite objective vs FD (5 seeds)", rel < 1e-3, f"worst rel err {rel:.2e}"))
+    with _Check(out, "composite objective vs FD (5 seeds)") as check:
+        rel = max(end_to_end_grad_error(seed) for seed in range(5))
+        check.done(rel < 1e-3, f"worst rel err {rel:.2e}")
 
-    rel = max(net_rows_error(seed) for seed in range(3))
-    out.append(CheckResult("3-row nets vs per-row calls (3 seeds)", rel <= 1e-12, f"worst rel err {rel:.2e}"))
+    with _Check(out, "3-row nets vs per-row calls (3 seeds)") as check:
+        rel = max(net_rows_error(seed) for seed in range(3))
+        check.done(rel <= 1e-12, f"worst rel err {rel:.2e}")
 
-    rel = max(step_rows_error(seed) for seed in range(3))
-    out.append(CheckResult("2-pair step vs per-pair mean (3 seeds)", rel <= 1e-12, f"worst rel err {rel:.2e}"))
+    with _Check(out, "2-pair step vs per-pair mean (3 seeds)") as check:
+        rel = max(step_rows_error(seed) for seed in range(3))
+        check.done(rel <= 1e-12, f"worst rel err {rel:.2e}")
 
-    bank = FeatureBank("clean", s=rng.standard_normal((6, 4)) * 0.7, z=rng.standard_normal((6, 3)))
-    q = rng.standard_normal(4) * 0.7
-    z_pred = rng.standard_normal(3)
-    ids = np.arange(6)
+    with _Check(out, "in-place Adam and accumulated backward vs fresh-array reference") as check:
+        bad = in_place_mismatches(0)
+        check.done(bad == 0, f"{bad} entries differ (50 Adam steps; generator and discriminator)")
 
-    rel = 0.0
-    for family, depth in ((f, d) for f in ("se", "lin", "sc") for d in (1, 2, 3)):
-        spec = KernelSpec.heterogeneous(family, depth=depth, gamma=1.5)
-        post = gp_condition(spec, bank, ids, q)
-        analytic = gp_supervisor.pseudo_loss_query_grad(spec, bank, post, q, z_pred)
-        numeric = fd_grad(lambda qv: pseudo_loss(gp_condition(spec, bank, ids, qv), z_pred), q.copy())
-        rel = max(rel, _rel(analytic, numeric))
-    out.append(CheckResult("query-gradient toggle vs FD (se, lin, sc; depth 1-3)", rel < 1e-5, f"worst rel err {rel:.2e}"))
+    with _Check(out, "query-gradient toggle vs FD (se, lin, sc; depth 1-3)") as check:
+        bank = FeatureBank("clean", s=rng.standard_normal((6, 4)) * 0.7, z=rng.standard_normal((6, 3)))
+        q = rng.standard_normal(4) * 0.7
+        z_pred = rng.standard_normal(3)
+        ids = np.arange(6)
+        rel = 0.0
+        for family, depth in ((f, d) for f in ("se", "lin", "sc") for d in (1, 2, 3)):
+            spec = KernelSpec.heterogeneous(family, depth=depth, gamma=1.5)
+            post = gp_condition(spec, bank, ids, q)
+            analytic = gp_supervisor.pseudo_loss_query_grad(spec, bank, post, q, z_pred)
+            numeric = fd_grad(lambda qv: pseudo_loss(gp_condition(spec, bank, ids, qv), z_pred), q.copy())
+            rel = max(rel, _rel(analytic, numeric))
+        check.done(rel < 1e-5, f"worst rel err {rel:.2e}")
     return out
 
 
@@ -454,31 +511,70 @@ def step_rows_error(seed: int) -> float:
     return max(worst, *(_rel(g, np.mean([one[k] for one in singles], axis=0)) for k, g in ((1, g_wc), (2, g_cw))))
 
 
+def in_place_mismatches(seed: int) -> int:
+    """Entries where the in-place Adam step and the accumulating backward differ from fresh arrays.
+
+    adam_step runs 50 steps against the textbook update written out here;
+    for each net kind, backward(out=buf) then backward(out=buf, accumulate=True)
+    is compared with the sum of two fresh backwards.  Everything must agree
+    bit for bit, and each call must hand back the caller's array.
+    """
+    rng = np.random.default_rng(5000 + seed)
+    n = 2 * ADAM_BLOCK + 40  # two whole blocks and a partial one
+    params = rng.standard_normal(n)
+    state = AdamState.for_params(params, lr=1e-2)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+    ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    bad = 0
+    for t in range(1, 51):
+        g = rng.standard_normal(n)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        ref = ref - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        bad += int(adam_step(state, params, g) is not params)
+        bad += sum(np.count_nonzero(a != b) for a, b in ((params, ref), (state.m, m), (state.v, v)))
+
+    for net in (Generator(16, hidden=(6, 4, 4, 6), tap_s=2, tap_z=3, rng=rng), Discriminator(16, hidden=(5, 3), rng=rng)):
+        buf = np.full(net.n_params, np.nan)
+        for i in range(2):
+            cache = net.forward(rng.uniform(0.0, 1.0, (3, 16)))[-1]
+            upstream = rng.standard_normal((3, net.widths[-1]))
+            taps = dict(grad_s=rng.standard_normal((3, 4)), grad_z=rng.standard_normal((3, 4))) if isinstance(net, Generator) else {}
+            pg, gx = net.backward(cache, upstream, **taps, out=buf, accumulate=i > 0)
+            fresh_pg, fresh_gx = net.backward(cache, upstream, **taps)
+            bad += int(pg is not buf) + np.count_nonzero(gx != fresh_gx)
+            total = fresh_pg if i == 0 else total + fresh_pg
+        bad += np.count_nonzero(buf != total)
+    return int(bad)
+
+
 def metrics_suite() -> list:
     out = []
     rng = np.random.default_rng(505)
 
-    a = np.full((16, 16), 0.2)
-    b = np.full((16, 16), 0.3)
-    ok = psnr(a, a) == 99.0
-    ok = ok and abs(psnr(a, b) - 20.0) < 1e-9
-    ok = ok and abs(psnr(np.zeros((8, 8)), np.ones((8, 8)))) < 1e-12
-    u, v = rng.uniform(0, 1, (2, 12, 12))
-    ok = ok and psnr(u, v) == psnr(v, u)
-    out.append(CheckResult("psnr unit cases", ok, "cap, 20 dB, 0 dB, symmetry"))
+    with _Check(out, "psnr unit cases") as check:
+        a = np.full((16, 16), 0.2)
+        b = np.full((16, 16), 0.3)
+        ok = psnr(a, a) == 99.0
+        ok = ok and abs(psnr(a, b) - 20.0) < 1e-9
+        ok = ok and abs(psnr(np.zeros((8, 8)), np.ones((8, 8)))) < 1e-12
+        u, v = rng.uniform(0, 1, (2, 12, 12))
+        ok = ok and psnr(u, v) == psnr(v, u)
+        check.done(ok, "cap, 20 dB, 0 dB, symmetry")
 
-    img = rng.uniform(0, 1, (32, 32))
-    ok = ssim(img, img) == 1.0
-    c1 = np.full((16, 16), 0.2)
-    c2 = np.full((16, 16), 0.8)
-    const = ssim(c1, c2)
-    ok = ok and abs(const - 0.4702) < 1e-3
-    other = rng.uniform(0, 1, (32, 32))
-    ok = ok and abs(ssim(img, other) - ssim(other, img)) < 1e-12
-    ok = ok and -1.0 <= ssim(img, other) <= 1.0
-    out.append(CheckResult("ssim unit cases", ok, f"self 1.0, constant pair {const:.4f}"))
+    with _Check(out, "ssim unit cases") as check:
+        img = rng.uniform(0, 1, (32, 32))
+        ok = ssim(img, img) == 1.0
+        c1 = np.full((16, 16), 0.2)
+        c2 = np.full((16, 16), 0.8)
+        const = ssim(c1, c2)
+        ok = ok and abs(const - 0.4702) < 1e-3
+        other = rng.uniform(0, 1, (32, 32))
+        ok = ok and abs(ssim(img, other) - ssim(other, img)) < 1e-12
+        ok = ok and -1.0 <= ssim(img, other) <= 1.0
+        check.done(ok, f"self 1.0, constant pair {const:.4f}")
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with _Check(out, "pgm round trip and truncation") as check, tempfile.TemporaryDirectory() as tmp:
         p = make_clean(7, 1)[0]
         path = Path(tmp) / "t.pgm"
         write_pgm(path, p)
@@ -490,18 +586,19 @@ def metrics_suite() -> list:
             ok = False
         except MalformedFile:
             pass
-    out.append(CheckResult("pgm round trip and truncation", ok, "max error <= 1/255"))
+        check.done(ok, "max error <= 1/255")
 
-    p = make_clean(11, 1)[0]
-    scaled = Patch(p.pixels * 0.4)
-    spec = DegradeSpec(streak_count=4, streak_amplitude=0.2, seed=5)
-    field = streak_field(spec, scaled.pixels.shape)
-    degraded = degrade(scaled, spec)
-    ok = bool(np.all(field >= 0.0))
-    ok = ok and np.allclose(degraded.pixels - scaled.pixels, field, atol=1e-12)
-    ident = degrade(scaled, DegradeSpec(streak_count=4, streak_amplitude=0.0, seed=5))
-    ok = ok and bool(np.all(ident.pixels == scaled.pixels))
-    out.append(CheckResult("degradation additivity", ok, "field >= 0, amplitude 0 identity"))
+    with _Check(out, "degradation additivity") as check:
+        p = make_clean(11, 1)[0]
+        scaled = Patch(p.pixels * 0.4)
+        spec = DegradeSpec(streak_count=4, streak_amplitude=0.2, seed=5)
+        field = streak_field(spec, scaled.pixels.shape)
+        degraded = degrade(scaled, spec)
+        ok = bool(np.all(field >= 0.0))
+        ok = ok and np.allclose(degraded.pixels - scaled.pixels, field, atol=1e-12)
+        ident = degrade(scaled, DegradeSpec(streak_count=4, streak_amplitude=0.0, seed=5))
+        ok = ok and bool(np.all(ident.pixels == scaled.pixels))
+        check.done(ok, "field >= 0, amplitude 0 identity")
     return out
 
 
@@ -515,7 +612,11 @@ SUITES = {
 
 
 def run_suites(names=None):
-    """Run the named suites (all by default); returns {suite: [CheckResult]}."""
+    """Run the named suites (all by default); returns {suite: [CheckResult]}.
+
+    A check that raises is a FAIL row holding the exception type and text;
+    the other checks and suites still run.
+    """
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

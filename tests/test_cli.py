@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dgpcyclegan import gp_supervisor
+from dgpcyclegan import gp_supervisor, verify
 from dgpcyclegan.cli import build_run_config, main, parse_config_file
-from dgpcyclegan.errors import ConfigError
+from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
 
 FAST_KEYS = """
 # desk-scale but tiny, for command tests
@@ -144,6 +144,24 @@ def test_verify_detects_injected_sign_flip(monkeypatch, capsys):
     assert main(["verify", "--suite", "grads"]) == 1
     out = capsys.readouterr().out
     assert "FAILED suites: grads" in out
+
+
+def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    def raising(*args):
+        raise NotPositiveDefinite("injected")
+
+    monkeypatch.setattr(verify, "brute_force_condition", raising)
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows, summary = lines[:-1], lines[-1]
+    failed = [r for r in rows if "  FAIL  " in r]
+    assert len(failed) == 1 and "brute-force oracle equivalence" in failed[0]
+    assert "raised NotPositiveDefinite: injected" in failed[0]
+    # the checks after it in its suite and every later suite still report
+    assert any("permutation invariance" in r and "  pass  " in r for r in rows)
+    assert any("degradation additivity" in r and "  pass  " in r for r in rows)
+    assert sum("  pass  " in r for r in rows) == len(rows) - 1
+    assert summary == "verify: FAILED suites: gp"
 
 
 # --- train command -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dgpcyclegan import nets
 from dgpcyclegan.errors import CacheMismatch, MalformedFile, ShapeMismatch
 from dgpcyclegan.nets import (
     AdamState,
@@ -10,7 +11,7 @@ from dgpcyclegan.nets import (
     load_checkpoint,
     save_checkpoint,
 )
-from dgpcyclegan.verify import fd_grad
+from dgpcyclegan.verify import fd_grad, in_place_mismatches
 
 
 def tiny_gen(seed=0):
@@ -127,6 +128,25 @@ def test_backward_linearity_in_upstream():
     assert np.allclose(3.0 * g1, g2, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_backward_into_buffer_matches_fresh_arrays(seed):
+    # write, then accumulate, into one buffer == the sum of two fresh backwards, bit for bit
+    assert in_place_mismatches(seed) == 0
+
+
+def test_backward_out_buffer_checks():
+    gen = tiny_gen(15)
+    _, _, _, cache = gen.forward(np.zeros((4, 4)))
+    with pytest.raises(ShapeMismatch):
+        gen.backward(cache, np.zeros((4, 4)), out=np.empty(gen.n_params + 1))
+    with pytest.raises(ValueError):
+        gen.backward(cache, np.zeros((4, 4)), accumulate=True)
+    disc = Discriminator(16, hidden=(5,), rng=np.random.default_rng(16))
+    _, cache = disc.forward(np.ones((2, 16)))
+    pg, gx = disc.backward(cache, np.ones(2), param_grads=False)
+    assert pg is None and np.array_equal(gx, disc.backward(cache, np.ones(2))[1])
+
+
 def test_backward_rejects_foreign_cache():
     a, b = tiny_gen(1), tiny_gen(2)
     _, _, _, cache = a.forward(np.zeros((4, 4)))
@@ -212,15 +232,33 @@ def test_disc_backward_matches_finite_differences():
 
 def test_adam_zero_grads_leave_params():
     params = np.array([1.0, -2.0, 3.0])
+    before = params.copy()
     state = AdamState.for_params(params, lr=1e-3)
-    assert np.array_equal(adam_step(state, params, np.zeros(3)), params)
+    assert np.array_equal(adam_step(state, params, np.zeros(3)), before)
 
 
 def test_adam_zero_lr_leaves_params():
     params = np.array([1.0, -2.0])
+    before = params.copy()
     state = AdamState.for_params(params, lr=0.0)
     out = adam_step(state, params, np.array([0.5, -0.5]))
-    assert np.array_equal(out, params)
+    assert np.array_equal(out, before)
+
+
+def test_adam_step_is_the_textbook_update_in_place(monkeypatch):
+    monkeypatch.setattr(nets, "ADAM_BLOCK", 8)  # 30 values: three whole blocks and a partial one
+    rng = np.random.default_rng(50)
+    params = rng.standard_normal(30)
+    state = AdamState.for_params(params, lr=1e-2)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+    ref, m, v = params.copy(), np.zeros(30), np.zeros(30)
+    for t in range(1, 51):
+        g = rng.standard_normal(30)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        ref = ref - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert adam_step(state, params, g) is params
+        assert np.array_equal(params, ref) and np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 def test_adam_first_step_hand_value():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,20 @@ def test_sigma2_logged_only_when_supervisor_enabled():
     state, hist = train_run(cfg_off, data)
     assert np.isnan(hist[0].mean_sigma2)
     assert hist[0].p_fwd == 0.0 and hist[0].p_rev == 0.0
+
+
+def test_warm_train_step_allocates_no_parameter_sized_array():
+    # Default desk config, DGP on: after one warm-up step, a step's gradients,
+    # Adam moments and scratch all live in buffers the state already owns.
+    cfg = TrainConfig()
+    clean, weather = make_unpaired_sets(cfg.n_neighbors + 8, DegradeSpec(), 0)
+    state = init_state(cfg)
+    banks = build_epoch_banks(weather, clean, state.gen_wc, state.gen_cw, 0)
+    train_step(weather[:2], clean[:2], banks, state, cfg)
+    tracemalloc.start()
+    try:
+        train_step(weather[2:4], clean[2:4], banks, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * state.gen_wc.n_params
