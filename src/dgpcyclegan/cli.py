@@ -18,6 +18,7 @@ import numpy as np
 
 from .data_metrics import SSIM_WINDOW, DegradeSpec, _pixels, make_eval_pairs, make_unpaired_sets, psnr, ssim
 from .errors import ConfigError, DgpError
+from .fileio import atomic_open
 from .kernels import FAMILIES
 from .nets import load_checkpoint
 from .trainer import DeskData, TrainConfig, train_run
@@ -266,7 +267,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "eval.csv", "w", encoding="utf-8") as fh:
+        with atomic_open(out / "eval.csv", "w", encoding="utf-8") as fh:
             fh.write("pair,psnr,ssim\n")
             for i, p, s in rows:
                 fh.write(f"{i},{p!r},{s!r}\n")
@@ -301,7 +302,8 @@ def cmd_ablate(args) -> int:
             p, s = final_metrics(history)
             lines.append(f"{value},{p!r},{s!r}")
             print(f"ablate: {key}={value} -> psnr {p:.3f} dB, ssim {s:.4f}")
-        (out / csv_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_open(out / csv_name, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
     return 0
 
 

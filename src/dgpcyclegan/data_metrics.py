@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MalformedFile, ShapeMismatch, TooSmall
+from .fileio import atomic_open
 
 PSNR_CAP = 99.0
 SSIM_WINDOW = 11
@@ -177,7 +178,7 @@ def write_pgm(path, p: Patch) -> None:
     """Binary 8-bit PGM (P5) with header tokens P5, width, height, 255."""
     pix = _pixels(p)
     data = np.round(np.clip(pix, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{pix.shape[1]} {pix.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 

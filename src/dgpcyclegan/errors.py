@@ -51,3 +51,7 @@ class TooSmall(DgpError):
 
 class ConfigError(DgpError):
     """Run configuration is missing a key, has an unknown key, or a bad value."""
+
+
+class NonFiniteLoss(DgpError):
+    """A training step produced a NaN or infinite loss term."""

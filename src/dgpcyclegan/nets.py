@@ -16,28 +16,35 @@ stack of one, and its taps and score drop that axis.
 All forward passes cache activations for exactly one matching backward
 call; a cache from another network raises CacheMismatch.
 
-A training step allocates no parameter-sized array.  backward writes the
-parameter gradients into a caller-owned flat buffer (`out=buf`), or adds
-them to its contents (`accumulate=True`, through one per-net scratch the
-size of the largest layer); without `out` it returns a fresh array.
-adam_step updates the moments and the parameter vector in place and
-returns that same vector; it uses the gradient array as scratch.
+A training step allocates no parameter-sized array.  backward first runs
+the chain: it walks the stack from the output down, forms each stage's
+gradient with respect to its pre-activation (dpre) and keeps it with the
+cache.  param_grads_from then forms each layer's weight gradient as one
+acts.T @ dpre product and its bias gradient as one row sum, over the rows
+of every cache it is given, and writes them into a caller-owned flat buffer
+(`out=buf`) or a fresh array.  backward(cache, g, out=buf) is the chain and
+then param_grads_from(cache, out=buf); param_grads=False stops after the
+chain and input_grad=False skips the first layer's input gradient.
+adam_step keeps unnormalised moments and folds both bias corrections into
+its step size and epsilon; it updates the moments and the parameter vector
+in place, returns that same vector and uses the gradient array as scratch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import struct
 
 import numpy as np
 
 from .errors import CacheMismatch, MalformedFile, ShapeMismatch
+from .fileio import atomic_open
 
 LEAKY_SLOPE = 0.2
-# adam_step makes its 14 elementwise passes one block of elements at a time,
-# so the five 256 KiB slices they touch stay in a core's L2 cache instead of
-# streaming whole 2 MB generator vectors 14 times.  Any size gives the same bits.
+# adam_step makes its 10 elementwise passes one block of elements at a time,
+# so the four 256 KiB slices they touch stay in a core's L2 cache instead of
+# streaming whole 2 MB generator vectors 10 times.  Any size gives the same bits.
 ADAM_BLOCK = 32768
 
 
@@ -56,6 +63,7 @@ class FwdCache:
     lead: tuple  # (B,) for a row stack, () for a single sample
     acts: list  # acts[0] is the (B, width) input, acts[i] the post-activation of stage i
     pres: list  # pre-activations per stage
+    dpres: list | None = None  # gradients wrt pres, set by the backward chain
 
 
 class DenseStack:
@@ -74,8 +82,6 @@ class DenseStack:
             offset += fan_out
             self._slices.append((w_sl, b_sl, fan_in, fan_out))
         self.params = np.zeros(offset)
-        # Parameter gradients of an accumulating backward pass through here.
-        self._add_scratch = np.empty(max(fan_in * fan_out for _, _, fan_in, fan_out in self._slices))
         if rng is not None:
             if not isinstance(rng, np.random.Generator):
                 rng = np.random.default_rng(rng)
@@ -108,44 +114,58 @@ class DenseStack:
             acts.append(a)
         return FwdCache(owner=id(self), x_shape=x.shape, lead=lead, acts=acts, pres=pres)
 
-    def _backprop(self, cache: FwdCache, grad_out, tap_grads=None, out=None, accumulate=False, param_grads=True):
+    def _backprop(self, cache: FwdCache, grad_out, tap_grads=None, out=None, param_grads=True, input_grad=True):
         """Walk the stack backwards, returning (flat param grads summed over rows, grad wrt input).
 
-        The parameter gradients are written into `out` when it is given, or
-        added to its contents with accumulate=True; otherwise they go into a
-        fresh array.  With param_grads=False none are formed and None stands
-        in their place.
+        The chain keeps every stage's dpre with the cache.  With param_grads
+        the parameter gradients then go into `out` (or a fresh array) through
+        param_grads_from; otherwise None stands in their place.  With
+        input_grad=False the first layer's input gradient is not formed and
+        None stands in for it.
         """
         if cache.owner != id(self):
             raise CacheMismatch("cache was produced by a different network")
-        grads = None
-        if param_grads:
-            if out is None:
-                if accumulate:
-                    raise ValueError("accumulate needs an out buffer")
-                out = np.empty(self.n_params)
-            elif out.shape != (self.n_params,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-                raise ShapeMismatch(f"out must be a contiguous float64 vector of {self.n_params} values")
-            grads = out
         rows = cache.acts[0].shape[0]
         g = np.asarray(grad_out, dtype=float).reshape(rows, -1)
         last = self.n_stages - 1
+        cache.dpres = [None] * self.n_stages
         for i in range(last, -1, -1):
             if tap_grads is not None and (i + 1) in tap_grads:
                 g = g + np.asarray(tap_grads[i + 1], dtype=float).reshape(rows, -1)
             dpre = g if i == last else g * _leaky_deriv(cache.pres[i])
-            w_sl, b_sl, fan_in, fan_out = self._slices[i]
-            if grads is not None:
-                w_grad, b_grad = grads[w_sl].reshape(fan_in, fan_out), grads[b_sl]
-                if accumulate:
-                    w_part = self._add_scratch[: fan_in * fan_out].reshape(fan_in, fan_out)
-                    w_grad += np.matmul(cache.acts[i].T, dpre, out=w_part)
-                    b_grad += np.sum(dpre, axis=0, out=self._add_scratch[:fan_out])
-                else:
-                    np.matmul(cache.acts[i].T, dpre, out=w_grad)
-                    np.sum(dpre, axis=0, out=b_grad)
-            g = dpre @ self.params[w_sl].reshape(fan_in, fan_out).T
-        return grads, g.reshape(cache.x_shape)
+            cache.dpres[i] = dpre
+            if i > 0 or input_grad:
+                w_sl, _, fan_in, fan_out = self._slices[i]
+                g = dpre @ self.params[w_sl].reshape(fan_in, fan_out).T
+        grad_x = g.reshape(cache.x_shape) if input_grad else None
+        return (self.param_grads_from(cache, out=out) if param_grads else None), grad_x
+
+    def param_grads_from(self, *caches: FwdCache, out=None) -> np.ndarray:
+        """Parameter gradients summed over the rows of every cache, after its backward chain.
+
+        Each layer's weight gradient is one acts.T @ dpre product and its
+        bias gradient one row sum over the caches' stacked rows.  They are
+        written into `out` when it is given, else into a fresh array, which
+        is returned.
+        """
+        for cache in caches:
+            if cache.owner != id(self):
+                raise CacheMismatch("cache was produced by a different network")
+            if cache.dpres is None:
+                raise ValueError("cache has not been through a backward pass")
+        if out is None:
+            out = np.empty(self.n_params)
+        elif out.shape != (self.n_params,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ShapeMismatch(f"out must be a contiguous float64 vector of {self.n_params} values")
+        for i, (w_sl, b_sl, fan_in, fan_out) in enumerate(self._slices):
+            if len(caches) == 1:
+                acts, dpre = caches[0].acts[i], caches[0].dpres[i]
+            else:
+                acts = np.concatenate([c.acts[i] for c in caches])
+                dpre = np.concatenate([c.dpres[i] for c in caches])
+            np.matmul(acts.T, dpre, out=out[w_sl].reshape(fan_in, fan_out))
+            np.sum(dpre, axis=0, out=out[b_sl])
+        return out
 
 
 class Generator(DenseStack):
@@ -166,20 +186,21 @@ class Generator(DenseStack):
         s, z = (cache.acts[t].reshape(cache.lead + (-1,)).copy() for t in (self.tap_s, self.tap_z))
         return y, s, z, cache
 
-    def backward(self, cache: FwdCache, grad_y, grad_s=None, grad_z=None, *, out=None, accumulate=False):
-        """Accumulate parameter gradients from output and tap gradients.
+    def backward(self, cache: FwdCache, grad_y, grad_s=None, grad_z=None, *, out=None,
+                 param_grads=True, input_grad=True):
+        """Parameter and input gradients from output and tap gradients.
 
         Returns (param_grads, grad_x); grad_x is shaped like the forward input
         so chained generators can pass it on.  param_grads is `out` when a
-        buffer is given (written, or added to with accumulate=True), else a
-        fresh array.
+        buffer is given, else a fresh array.  param_grads=False and
+        input_grad=False leave out either one, with None in its place.
         """
         taps = {}
         if grad_s is not None:
             taps[self.tap_s] = grad_s
         if grad_z is not None:
             taps[self.tap_z] = grad_z
-        return self._backprop(cache, grad_y, taps or None, out=out, accumulate=accumulate)
+        return self._backprop(cache, grad_y, taps or None, out=out, param_grads=param_grads, input_grad=input_grad)
 
     def restore(self, x) -> np.ndarray:
         """Evaluation-time translation, clamped to the image range [0, 1]."""
@@ -198,20 +219,21 @@ class Discriminator(DenseStack):
         cache = self._run(x)
         return cache.acts[-1].reshape(cache.lead), cache
 
-    def backward(self, cache: FwdCache, dscore, *, out=None, accumulate=False, param_grads=True):
+    def backward(self, cache: FwdCache, dscore, *, out=None, param_grads=True, input_grad=True):
         """Returns (param_grads, grad_x) for upstream gradients of the scores.
 
-        `out` and accumulate work as in Generator.backward; with
-        param_grads=False only grad_x is formed and param_grads is None.
+        `out`, param_grads and input_grad work as in Generator.backward.
         """
-        return self._backprop(cache, dscore, out=out, accumulate=accumulate, param_grads=param_grads)
+        return self._backprop(cache, dscore, out=out, param_grads=param_grads, input_grad=input_grad)
 
 
 @dataclass
 class AdamState:
     """Per-network Adam moments; lr is mutable so schedules can adjust it.
 
-    scratch is working memory for adam_step, never saved.
+    m and v are the unnormalised moments sum_i beta^(t-i) g_i and
+    sum_i beta^(t-i) g_i^2: the textbook ones divided by (1 - beta1) and
+    (1 - beta2).
     """
 
     m: np.ndarray
@@ -221,11 +243,6 @@ class AdamState:
     beta1: float = 0.5
     beta2: float = 0.999
     eps: float = 1e-8
-    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.scratch is None:
-            self.scratch = np.empty_like(self.m)
 
     @staticmethod
     def for_params(params: np.ndarray, lr: float = 2e-4) -> "AdamState":
@@ -235,32 +252,33 @@ class AdamState:
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update of params in place; returns params itself.
 
-    m, v and params are updated in place, block by block, with the
-    operations, in the order, of m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
-    params - lr m_hat / (sqrt(v_hat) + eps).  grads is overwritten.
+    The form of Kingma & Ba (2015, section 2) with the bias corrections
+    folded into the step size: m = b1 m + g; v = b2 v + g g;
+    params -= step m / (sqrt(v) + eps_hat), where k = sqrt((1 - b2) / (1 - b2^t)),
+    step = lr (1 - b1) / ((1 - b1^t) k) and eps_hat = eps / k.  That is the
+    textbook update lr m_hat / (sqrt(v_hat) + eps) up to rounding, in 10
+    elementwise passes with one division.  m, v and params are updated in
+    place, block by block; grads is overwritten.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeMismatch("params, grads and moments must share one shape")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    k = math.sqrt((1.0 - state.beta2) / (1.0 - state.beta2 ** state.t))
+    step = state.lr * (1.0 - state.beta1) / ((1.0 - state.beta1 ** state.t) * k)
+    eps = state.eps / k
     for lo in range(0, len(params), ADAM_BLOCK):
         sl = slice(lo, lo + ADAM_BLOCK)
-        m, v, tmp, g, p = state.m[sl], state.v[sl], state.scratch[sl], grads[sl], params[sl]
-        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        m, v, g, p = state.m[sl], state.v[sl], grads[sl], params[sl]
         np.multiply(m, state.beta1, out=m)
-        np.add(m, tmp, out=m)
-        np.multiply(g, 1.0 - state.beta2, out=tmp)
-        np.multiply(tmp, g, out=tmp)
+        np.add(m, g, out=m)
+        np.multiply(g, g, out=g)
         np.multiply(v, state.beta2, out=v)
-        np.add(v, tmp, out=v)
-        np.divide(m, c1, out=tmp)
-        np.divide(v, c2, out=g)
-        np.sqrt(g, out=g)
-        np.add(g, state.eps, out=g)
-        np.multiply(tmp, state.lr, out=tmp)
-        np.divide(tmp, g, out=tmp)
-        np.subtract(p, tmp, out=p)
+        np.add(v, g, out=v)
+        np.sqrt(v, out=g)
+        np.add(g, eps, out=g)
+        np.divide(m, g, out=g)
+        np.multiply(g, step, out=g)
+        np.subtract(p, g, out=p)
     return params
 
 
@@ -281,7 +299,7 @@ CKPT_MAGIC = b"DGPCKPT1"
 
 
 def save_checkpoint(path, nets: dict, step: int = 0) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<IQ", len(nets), step))
         for name, net in nets.items():

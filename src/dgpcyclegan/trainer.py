@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_metrics import Patch, _pixels, psnr, ssim, write_pgm
-from .errors import EmptyDataset
+from .errors import EmptyDataset, NonFiniteLoss
+from .fileio import atomic_open
 from .gp_supervisor import (
     FeatureBank,
     bank_build,
@@ -123,7 +124,8 @@ class TrainState:
     """Networks, optimizer states and the gradient buffers every step reuses.
 
     One buffer per generator and one shared by the two discriminators, which
-    train_step updates one after the other.
+    train_step updates one after the other.  step counts the steps taken and
+    epoch is the one train_run is in; NonFiniteLoss names both.
     """
 
     gen_wc: Generator
@@ -133,6 +135,7 @@ class TrainState:
     opt: dict
     kernel: KernelSpec
     step: int = 0
+    epoch: int = 0
     sigma2_log: list = field(default_factory=list)
     grad_wc: np.ndarray = field(init=False, repr=False)
     grad_cw: np.ndarray = field(init=False, repr=False)
@@ -205,6 +208,8 @@ def generator_step_terms(
     the query's kernel row).
     The generator gradients are written into out_wc / out_cw when given,
     else into fresh arrays.
+    Each generator runs backward once per level, and its parameter
+    gradients are then formed in one pass over both levels' rows.
     Returns (components dict with the total objective, grads_wc, grads_cw,
     posteriors, fakes).
     """
@@ -260,14 +265,16 @@ def generator_step_terms(
     # Level 2 backward: cycle L1 at the reconstructions plus pseudo grads at
     # the taps; the adversarial push on the fakes comes through the (frozen)
     # discriminators.
-    g_cw, g_fake_c = gen_cw.backward(cache_f2, g_rec_w, grad_s=grad_s_f, grad_z=grad_z_f, out=out_cw)
-    g_wc, g_fake_w = gen_wc.backward(cache_g2, g_rec_c, grad_s=grad_s_r, grad_z=grad_z_r, out=out_wc)
+    _, g_fake_c = gen_cw.backward(cache_f2, g_rec_w, grad_s=grad_s_f, grad_z=grad_z_f, param_grads=False)
+    _, g_fake_w = gen_wc.backward(cache_g2, g_rec_c, grad_s=grad_s_r, grad_z=grad_z_r, param_grads=False)
     _, g_fake_c_adv = disc_c.backward(cache_dc, g_score_c, param_grads=False)
     _, g_fake_w_adv = disc_w.backward(cache_dw, g_score_w, param_grads=False)
-    # Level 1 backward, one call per generator over its stacked rows, added
-    # to the level-2 gradients.
-    gen_wc.backward(cache_g1, np.concatenate([g_fake_c + g_fake_c_adv, g_id_c]), out=g_wc, accumulate=True)
-    gen_cw.backward(cache_f1, np.concatenate([g_fake_w + g_fake_w_adv, g_id_w]), out=g_cw, accumulate=True)
+    # Level 1 backward, one call per generator over its stacked rows; the
+    # images are inputs, so no input gradient is formed.
+    gen_wc.backward(cache_g1, np.concatenate([g_fake_c + g_fake_c_adv, g_id_c]), param_grads=False, input_grad=False)
+    gen_cw.backward(cache_f1, np.concatenate([g_fake_w + g_fake_w_adv, g_id_w]), param_grads=False, input_grad=False)
+    g_wc = gen_wc.param_grads_from(cache_g1, cache_g2, out=out_wc)
+    g_cw = gen_cw.param_grads_from(cache_f1, cache_f2, out=out_cw)
     return comps, g_wc, g_cw, (post_f, post_r), (fake_c, fake_w)
 
 
@@ -286,7 +293,7 @@ def discriminator_step_terms(disc: Discriminator, real, fake, want_grads: bool =
     loss, g_scores = _least_squares(scores, target)
     if not want_grads:
         return loss, None
-    grads, _ = disc.backward(cache, g_scores, out=out)
+    grads, _ = disc.backward(cache, g_scores, out=out, input_grad=False)
     return loss, grads
 
 
@@ -315,7 +322,8 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
 
     Gradients are batch means; generators update first, then each
     discriminator on its own objective against the pre-update fakes.  All
-    gradients go into the state's buffers, and Adam updates in place.
+    gradients go into the state's buffers, and Adam updates in place.  A
+    non-finite loss term raises NonFiniteLoss before any parameter moves.
     """
     iw, ic = _pixels(iw_batch), _pixels(ic_batch)
     use_banks = banks if config.dgp_enabled else None
@@ -329,18 +337,21 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
         out_wc=state.grad_wc,
         out_cw=state.grad_cw,
     )
+    bad = next((name for name in LOSS_FIELDS if not np.isfinite(comps[name])), None)
+    if bad is not None:
+        raise NonFiniteLoss(f"loss term {bad} is {comps[bad]} at epoch {state.epoch}, step {state.step}")
     if use_banks is not None:
         state.sigma2_log.extend([*post_f.variance, *post_r.variance])
 
-    state.gen_wc.params = adam_step(state.opt["gen_wc"], state.gen_wc.params, g_wc)
-    state.gen_cw.params = adam_step(state.opt["gen_cw"], state.gen_cw.params, g_cw)
+    adam_step(state.opt["gen_wc"], state.gen_wc.params, g_wc)
+    adam_step(state.opt["gen_cw"], state.gen_cw.params, g_cw)
 
     # The discriminators are independent, so each updates before the next
     # one's gradient reuses the shared buffer.
     _, g_dc = discriminator_step_terms(state.disc_c, ic, fake_c, out=state.grad_disc)
-    state.disc_c.params = adam_step(state.opt["disc_c"], state.disc_c.params, g_dc)
+    adam_step(state.opt["disc_c"], state.disc_c.params, g_dc)
     _, g_dw = discriminator_step_terms(state.disc_w, iw, fake_w, out=state.grad_disc)
-    state.disc_w.params = adam_step(state.opt["disc_w"], state.disc_w.params, g_dw)
+    adam_step(state.opt["disc_w"], state.disc_w.params, g_dw)
 
     state.step += 1
     return LossBreakdown(**comps)
@@ -386,6 +397,7 @@ def train_run(
     history = []
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
+        state.epoch = epoch
         for opt_state in state.opt.values():
             opt_state.lr = lr
 
@@ -436,7 +448,7 @@ def train_run(
 
 def write_metrics_csv(path, history) -> None:
     """Per-epoch CSV in the documented column order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in history:
             fh.write(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS) + "\n")

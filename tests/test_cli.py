@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgpcyclegan import gp_supervisor, verify
+from dgpcyclegan import gp_supervisor, trainer, verify
 from dgpcyclegan.cli import build_run_config, main, parse_config_file
 from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
 
@@ -184,6 +184,30 @@ def test_train_writes_expected_outputs(fast_config, tmp_path, capsys):
     assert (out / "sample_0_0.pgm").exists()
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header.startswith("epoch,lr,cyc_w")
+
+
+def test_train_stops_on_a_non_finite_loss(fast_config, tmp_path, capsys, monkeypatch):
+    # NaN in the weather-to-clean output bias: the first step's losses are NaN.
+    real_init_state = trainer.init_state
+    made = []
+
+    def nets_of(state):
+        return state.gen_wc, state.gen_cw, state.disc_c, state.disc_w
+
+    def nan_state(config):
+        state = real_init_state(config)
+        state.gen_wc.params[-1] = np.nan
+        made.append((state, [net.params.copy() for net in nets_of(state)]))
+        return state
+
+    monkeypatch.setattr(trainer, "init_state", nan_state)
+    out = tmp_path / "nan"
+    assert main(["train", "--config", str(fast_config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: loss term cyc_w is nan at epoch 0, step 0\n"
+    (state, before), = made
+    assert all(np.array_equal(net.params, p, equal_nan=True) for net, p in zip(nets_of(state), before))
+    assert all(opt.t == 0 for opt in state.opt.values())
+    assert not (out / "metrics.csv").exists()
 
 
 def test_train_seed_repeatable(fast_config, tmp_path):
