@@ -16,9 +16,11 @@ weighted by 1/var:
     loss = ||z_pred - z_pseudo||^2 / var + dim(z) * log(var)
 
 Queries are row stacks, the (B, dim) taps the generators return: one call
-handles all B queries, with one (B, k, k) Gram stack, one Cholesky call and
-one solve for all right-hand sides.  A 1-D query is a stack of one, and its
-results drop the leading axis.
+handles all B queries.  It evaluates one joint Gram stack over the rows
+[S; q], shape (B, k+1, k+1) with the noise on the whole diagonal, and reads
+K + noise * I, k(S, q) and k(q, q) + noise off its blocks; then one Cholesky
+call and one solve for all right-hand sides.  A 1-D query is a stack of one,
+and its results drop the leading axis.
 
 Banks are frozen snapshots, so by default the pseudo-label, the variance and
 the kernel terms in the query are treated as constants by the gradients; an
@@ -36,7 +38,10 @@ import numpy as np
 
 from .data_metrics import _pixels
 from .errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile, NotPositiveDefinite
-from .kernels import KernelSpec, effective_kernel, gram, kernel_row_grad
+from .kernels import KernelSpec, gram, kernel_row_grad
+# Not called here since k(q, q) comes off the joint Gram; perfbench/workloads.py
+# still wraps this module's effective_kernel by name, so it stays imported.
+from .kernels import effective_kernel  # noqa: F401
 from .linalg import cholesky, matvec, row_dot, solve_posdef, vecmat
 
 BANK_MAGIC = b"DGPBANK1"
@@ -116,13 +121,32 @@ def knn_select(bank: FeatureBank, query_z, n: int) -> np.ndarray:
     return order[..., : min(n, len(bank))]
 
 
+def _joint_rows(s_nbr: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The rows [S; q]: each query's k neighbor s-vectors with the query appended, (..., k+1, ds)."""
+    return np.concatenate([s_nbr, q[..., None, :]], axis=-2)
+
+
+def joint_gram(spec: KernelSpec, s_nbr, q) -> np.ndarray:
+    """Joint covariance (..., k+1, k+1) of the rows [S; q] with the noise on the whole diagonal.
+
+    Its blocks are K(S, S) + noise * I, k(S, q) and k(q, q) + noise; exactly
+    symmetric, since gram mirrors one triangle.
+    """
+    rows = _joint_rows(s_nbr, q)
+    joint = gram(spec, rows, rows)
+    diag = np.arange(joint.shape[-1])
+    joint[..., diag, diag] += spec.noise_var
+    return joint
+
+
 def gp_condition(spec: KernelSpec, bank: FeatureBank, neighbor_ids, query_s) -> GpPosterior:
     """Condition the collapsed GP of each query row on its selected bank rows.
 
     The neighbor s-vectors are the GP inputs, their paired z-vectors the
     targets; each query contributes a single row, so its posterior covariance
-    is the 1x1 scalar broadcast over z dimensions.  Solved through one
-    stacked Cholesky factor, never an explicit inverse.
+    is the 1x1 scalar broadcast over z dimensions.  One joint Gram stack
+    gives every kernel value; solved through one stacked Cholesky factor,
+    never an explicit inverse.
     """
     ids = np.asarray(neighbor_ids, dtype=int)
     if ids.size == 0:
@@ -130,19 +154,16 @@ def gp_condition(spec: KernelSpec, bank: FeatureBank, neighbor_ids, query_s) -> 
     q = _queries(query_s, bank.s.shape[1], "s")
     if ids.shape[:-1] != q.shape[:-1]:
         raise DimensionMismatch(f"neighbor ids {ids.shape} do not match queries {q.shape}")
-    s_nbr = bank.s[ids]
     z_nbr = bank.z[ids]
 
-    k_mat = gram(spec, s_nbr, s_nbr)
-    diag = np.arange(k_mat.shape[-1])
-    k_mat[..., diag, diag] += spec.noise_var
-    factor = cholesky(k_mat)
-
-    k_vec = gram(spec, q[..., None, :], s_nbr)[..., 0, :]
+    joint = joint_gram(spec, bank.s[ids], q)
+    k = ids.shape[-1]
+    factor = cholesky(joint[..., :k, :k])
+    k_vec = joint[..., k, :k]
     # One solve for both right-hand sides: alpha = K^-1 Z and w = K^-1 k(S, q).
     sol = solve_posdef(factor, np.concatenate([z_nbr, k_vec[..., None]], axis=-1))
     alpha, w = sol[..., :-1], sol[..., -1]
-    var = effective_kernel(spec, q, q) - row_dot(k_vec, w) + spec.noise_var
+    var = joint[..., k, k] - row_dot(k_vec, w)
     variance = float(var) if q.ndim == 1 else var
     return GpPosterior(vecmat(k_vec, alpha), variance, ids, alpha=alpha, w=w)
 
@@ -193,7 +214,9 @@ def pseudo_loss_query_grad(
         raise ValueError("the query gradient needs a posterior from gp_condition")
     z = _predictions(posterior, z_pred)
     q = np.asarray(query_s, dtype=float)
-    jac = kernel_row_grad(spec, q, bank.s[posterior.neighbor_ids])  # (..., k, ds)
+    # One kernel-row gradient over [S; q]: rows 0..k-1 are d k(q, S) / dq, the last is at k(q, q).
+    jac_joint = kernel_row_grad(spec, q, _joint_rows(bank.s[posterior.neighbor_ids], q))
+    jac = jac_joint[..., :-1, :]  # (..., k, ds)
 
     var = np.asarray(posterior.variance)[..., None]
     delta = z - posterior.pseudo_label
@@ -201,7 +224,7 @@ def pseudo_loss_query_grad(
     # d mean / d q = jac^T @ alpha; d var / d q = d k(q, q) / d q - 2 jac^T @ w, where
     # d k(q, q) / d q is twice the gradient in k's first argument (k is symmetric)
     grad_mean_term = -(2.0 / var) * vecmat(matvec(posterior.alpha, delta), jac)
-    grad_var = 2.0 * (kernel_row_grad(spec, q, q[..., None, :])[..., 0, :] - vecmat(posterior.w, jac))
+    grad_var = 2.0 * (jac_joint[..., -1, :] - vecmat(posterior.w, jac))
     grad_var_term = (z.shape[-1] / var - maha / (var * var)) * grad_var
     return grad_mean_term + grad_var_term
 

@@ -225,5 +225,6 @@ def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
         )
     k = _recurse(spec, _base_matrix(spec, r, c, same))
     if same:
-        k = np.triu(k) + np.triu(k, 1).swapaxes(-2, -1)
+        # Mirror the upper triangle into the lower one.
+        k = np.where(np.tri(k.shape[-1], k=-1, dtype=bool), k.swapaxes(-2, -1), k)
     return k

@@ -5,6 +5,12 @@ everything is dense, row-major, double precision.  Factorizations retry with
 an escalating diagonal jitter because near-duplicate latent vectors can make
 a kernel Gram matrix numerically singular.
 
+The Cholesky factorization is the positive-definiteness test and picks the
+jitter; the factor keeps the jittered matrix it factored, and solves go
+through one LAPACK solve of that matrix for all right-hand sides.  numpy has
+no triangular solve, so the two-triangle route would LU-factor each triangle
+again.
+
 Every function takes row stacks: (B, n, n) matrices are B systems, factored
 and solved in one call, and a (B, n) operand holds one vector per system; no
 leading axis is a stack of one.
@@ -26,10 +32,14 @@ SYMMETRY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CholFactor:
-    """Lower-triangular factor L with L @ L.T == A + jitter_used * I, per stacked item."""
+    """Lower-triangular factor L with L @ L.T == matrix == A + jitter_used * I, per stacked item.
+
+    Without jitter, matrix is the array that was factored itself, not a copy.
+    """
 
     lower: np.ndarray
     jitter_used: float
+    matrix: np.ndarray
 
 
 def cholesky(a) -> CholFactor:
@@ -54,11 +64,12 @@ def cholesky(a) -> CholFactor:
             raise NotSymmetric("matrix is not symmetric within 1e-9")
     eye = np.eye(a.shape[-1])
     for jitter in JITTER_LADDER:
+        matrix = a if jitter == 0.0 else a + jitter * eye
         try:
-            lower = np.linalg.cholesky(a if jitter == 0.0 else a + jitter * eye)
+            lower = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
             continue
-        return CholFactor(lower=lower, jitter_used=jitter)
+        return CholFactor(lower=lower, jitter_used=jitter, matrix=matrix)
     raise NotPositiveDefinite(
         f"factorization failed even with jitter {JITTER_LADDER[-1]:g}"
     )
@@ -69,7 +80,8 @@ def solve_posdef(f: CholFactor, b):
 
     b holds one vector (one axis fewer than the factor) or one matrix per
     stacked factor; a vector gets an explicit trailing axis, so numpy 1.x and
-    2.x read a stack of vectors alike.  Two triangular solves, no inverse.
+    2.x read a stack of vectors alike.  One solve of the factored matrix for
+    every right-hand side, no inverse.
     """
     b = np.asarray(b, dtype=float)
     vector = b.ndim == f.lower.ndim - 1
@@ -79,8 +91,7 @@ def solve_posdef(f: CholFactor, b):
         raise DimensionMismatch(
             f"rhs rows {b.shape[:-1]} do not match factor rows {f.lower.shape[:-1]}"
         )
-    y = np.linalg.solve(f.lower, b)
-    x = np.linalg.solve(f.lower.swapaxes(-2, -1), y)
+    x = np.linalg.solve(f.matrix, b)
     return x[..., 0] if vector else x
 
 

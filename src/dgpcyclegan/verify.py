@@ -57,7 +57,9 @@ def brute_force_condition(spec: KernelSpec, s_rows: np.ndarray, z_rows: np.ndarr
 
     Builds the (n+1)-point joint covariance with the noise on the whole
     diagonal and reads the conditional mean and variance off the blocks.
-    Independent of the Cholesky route used by gp_condition.
+    gp_condition builds the same joint covariance (the "joint Gram blocks"
+    row checks it against separate kernel calls); the conditioning here is
+    independent of its Cholesky factor and solve.
     """
     n = s_rows.shape[0]
     stacked = np.vstack([s_rows, query_s])
@@ -142,6 +144,10 @@ def linalg_suite() -> list:
             worst = max(worst, res / (1.0 + np.linalg.norm(rhs)))
         check.done(worst <= 1e-8, f"worst rel residual {worst:.2e}")
 
+    with _Check(out, "one solve vs two triangular solves (50 + jittered)") as check:
+        worst = solve_route_error(0)
+        check.done(worst <= SOLVE_ROUTE_TOL, f"worst rel err {worst:.2e} (bound {SOLVE_ROUTE_TOL:g})")
+
     with _Check(out, "factor round-trip (dims 1..16)") as check:
         worst = 0.0
         for n in range(1, 17):
@@ -153,6 +159,47 @@ def linalg_suite() -> list:
         check.done(worst <= 1e-10, f"worst scaled error {worst:.2e}")
 
     return out
+
+
+# Bound on the relative gap between solve_posdef and the two-triangle route.
+# Both are backward stable, so they differ by about cond * eps; every case
+# here keeps cond(A + jitter * I) below 1e5.
+SOLVE_ROUTE_TOL = 1e-10
+
+
+def solve_route_error(seed: int) -> float:
+    """Worst relative gap between solve_posdef and two triangular solves on its Cholesky factor.
+
+    The reference route is written out here: y = L^-1 b, then x = L^-T y, each
+    through np.linalg.solve on a triangle.  Covers 50 random stacks with
+    vector and matrix right-hand sides, and one stack whose middle item has
+    eigenvalue -5e-5, so only the last rung of the jitter ladder factors it;
+    inf when that stack comes back without jitter.
+    """
+
+    def gap(a, b):
+        f = cholesky(a)
+        col = b[..., None] if b.ndim == a.ndim - 1 else b  # a stack of vectors as columns
+        y = np.linalg.solve(f.lower, col)
+        ref = np.linalg.solve(f.lower.swapaxes(-2, -1), y).reshape(b.shape)
+        return f, _rel(solve_posdef(f, b), ref)
+
+    rng = np.random.default_rng(7000 + seed)
+    worst = 0.0
+    for _ in range(50):
+        n, m, batch = (int(v) for v in rng.integers(1, (17, 5, 4)))
+        b_mat = rng.standard_normal((batch, n, n))
+        a = b_mat.swapaxes(-2, -1) @ b_mat + np.eye(n)
+        worst = max(worst, gap(a, rng.standard_normal((batch, n, m)))[1])
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    indefinite = (q * [2.0, 1.0, -5e-5]) @ q.T
+    stack = np.stack([np.eye(3) * 2.0, indefinite, np.diag([1.0, 2.0, 3.0])])
+    for b in (rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 2))):
+        f, err = gap(stack, b)
+        if f.jitter_used == 0.0:
+            return float("inf")
+        worst = max(worst, err)
+    return worst
 
 
 def kernels_suite() -> list:
@@ -259,6 +306,10 @@ def gp_suite() -> list:
             worst = max(worst, _rel(post.pseudo_label, mean), abs(post.variance - var) / max(abs(var), 1e-300))
         check.done(worst <= 1e-8, f"worst rel err {worst:.2e}")
 
+    with _Check(out, "joint Gram blocks vs separate kernel calls (60)") as check:
+        worst = joint_gram_error(0)
+        check.done(worst <= JOINT_GRAM_TOL, f"worst rel err {worst:.2e} (bound {JOINT_GRAM_TOL:g})")
+
     with _Check(out, "permutation invariance") as check:
         s_rows = rng.standard_normal((8, 4))
         z_rows = rng.standard_normal((8, 3))
@@ -302,6 +353,38 @@ def gp_suite() -> list:
         rel = max(gp_rows_error(seed) for seed in range(3))
         check.done(rel <= 1e-12, f"worst rel err {rel:.2e}")
     return out
+
+
+# Bound on the relative gap between each block of the joint Gram and the
+# separate kernel call for it: the same formulas, with distances summed over
+# a larger product.
+JOINT_GRAM_TOL = 1e-12
+
+
+def joint_gram_error(seed: int) -> float:
+    """Worst relative gap between joint_gram's blocks and three separate kernel calls.
+
+    For stacks of B = 1..3 queries with k = 1..16 neighbors, the K block must
+    match gram(S, S) + noise * I, the query row gram(q, S) and the corner
+    effective_kernel(q, q) + noise.  SE at depths 1-4 and every family at depth 1.
+    """
+    rng = np.random.default_rng(8000 + seed)
+    specs = [KernelSpec.homogeneous(depth=d, beta=1.2, gamma=1.4) for d in (1, 2, 3, 4)]
+    specs += [KernelSpec.homogeneous(family=f, depth=1, gamma=1.4) for f in ("lin", "sc")]
+    worst = 0.0
+    for i in range(60):
+        spec = specs[i % len(specs)]
+        k, ds, batch = (int(v) for v in rng.integers(1, (17, 9, 4)))
+        s_nbr = rng.standard_normal((batch, k, ds))
+        q = rng.standard_normal((batch, ds))
+        joint = gp_supervisor.joint_gram(spec, s_nbr, q)
+        worst = max(
+            worst,
+            _rel(joint[:, :k, :k], gram(spec, s_nbr, s_nbr) + spec.noise_var * np.eye(k)),
+            _rel(joint[:, k, :k], gram(spec, q[:, None, :], s_nbr)[:, 0, :]),
+            _rel(joint[:, k, k], effective_kernel(spec, q, q) + spec.noise_var),
+        )
+    return worst
 
 
 def gp_rows_error(seed: int) -> float:

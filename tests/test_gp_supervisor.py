@@ -284,14 +284,29 @@ def test_query_grad_reuses_the_conditioning_solves(monkeypatch):
     spec = KernelSpec.homogeneous(depth=2)
     bank = random_bank(rng, 8)
     qs, z_pred = rng.standard_normal((2, 4)), rng.standard_normal((2, 3))
+    names = ("gram", "effective_kernel", "cholesky", "solve_posdef", "kernel_row_grad")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        real = getattr(gp_supervisor, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(gp_supervisor, name, counted(name))
+
+    # One B = 2 conditioning: one joint Gram, one factorization, one solve.
     post = gp_condition(spec, bank, np.tile(np.arange(5), (2, 1)), qs)
+    assert calls == {"gram": 1, "effective_kernel": 0, "cholesky": 1, "solve_posdef": 1, "kernel_row_grad": 0}
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the query gradient must not rebuild or refactor the Gram matrix")
-
-    for name in ("gram", "cholesky", "solve_posdef"):
-        monkeypatch.setattr(gp_supervisor, name, forbidden)
+    # The query gradient reuses alpha and w: one kernel-row gradient, nothing rebuilt or refactored.
+    calls.update(dict.fromkeys(names, 0))
     assert pseudo_loss_query_grad(spec, bank, post, qs, z_pred).shape == (2, 4)
+    assert calls == {"gram": 0, "effective_kernel": 0, "cholesky": 0, "solve_posdef": 0, "kernel_row_grad": 1}
     with pytest.raises(ValueError):
         pseudo_loss_query_grad(spec, bank, GpPosterior(post.pseudo_label, post.variance, post.neighbor_ids), qs, z_pred)
 

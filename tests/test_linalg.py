@@ -78,6 +78,27 @@ def test_solve_stack_matches_per_item_solves():
         solve_posdef(f, rng.standard_normal((2, 5)))
 
 
+def test_solve_through_a_jittered_factor():
+    # A singular PSD matrix only factors with jitter; the solve must be against
+    # A + jitter_used * I, alone and as one item of a stack.
+    rng = np.random.default_rng(13)
+    ones = np.ones((3, 3))
+    f = cholesky(ones)
+    assert f.jitter_used > 0.0
+    b = rng.standard_normal(3)
+    x = solve_posdef(f, b)
+    assert np.linalg.norm((ones + f.jitter_used * np.eye(3)) @ x - b) <= 1e-8 * (1.0 + np.linalg.norm(b))
+
+    stack = np.stack([random_pd(rng, 3), ones, random_pd(rng, 3)])
+    f = cholesky(stack)
+    assert f.jitter_used > 0.0
+    rhs = rng.standard_normal((3, 3, 2))
+    x = solve_posdef(f, rhs)
+    for a, xi, bi in zip(stack, x, rhs):
+        res = np.linalg.norm((a + f.jitter_used * np.eye(3)) @ xi - bi)
+        assert res <= 1e-8 * (1.0 + np.linalg.norm(bi))
+
+
 def test_solve_identity():
     f = cholesky(np.eye(3))
     assert np.array_equal(solve_posdef(f, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
