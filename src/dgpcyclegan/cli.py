@@ -77,10 +77,11 @@ CONFIG_SCHEMA = {
 # the config is built, so a bad config never fails part-way through a run.
 CONFIG_MIN = dict.fromkeys(("epochs", "batch_size", "lr_halve_every", "n_neighbors", "gp_depth",
                             "eval_interval", "n_train", "n_eval", "checkpoint_interval"), 1)
-CONFIG_MIN.update(seed=0, data_seed=0, lambda_p=0.0, img_side=SSIM_WINDOW)  # SSIM takes whole windows
+CONFIG_MIN.update(seed=0, data_seed=0, lambda_p=0.0, img_side=SSIM_WINDOW,  # SSIM takes whole windows
+                  streak_count=0, streak_amplitude=0.0)  # 0 streaks or amplitude 0: weather = clean
 # Keys that must be above zero; the pseudo loss takes the log of the posterior
 # variance, whose floor is noise_var.
-CONFIG_POSITIVE = ("lr", "kernel_beta", "kernel_gamma", "noise_var")
+CONFIG_POSITIVE = ("lr", "kernel_beta", "kernel_gamma", "noise_var", "streak_width")
 
 
 def _convert(key: str, text: str, name: str | None = None):

@@ -7,6 +7,14 @@ seed.  The unpaired protocol generates the clean and weather training sets
 from disjoint seed ranges so no degraded patch has its clean counterpart in
 the training data; paired examples exist only in the held-out evaluation
 split.
+
+The data are fixed by their seeds, to the last bit.  Each patch takes its
+random numbers in a fixed order (per bump: cx, cy, sig, amp; per streak:
+offset, then amplitude factor), drawn as one rng.uniform row per bump or
+streak, and its bumps or streaks are added in draw order, from one
+(count, h, w) stack summed over its first axis; numpy adds those rows one
+after another, exactly as a `field += term` loop does.  `verify` holds that
+loop as the reference and checks the two bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ SSIM_C2 = 0.03 ** 2
 
 # Disjoint seed ranges for the clean set, the weather set and the eval split.
 _SEED_STRIDE = 100003
+# exp(x) is exactly 0.0 in double precision for every x below this.
+_EXP_ZERO_BELOW = -746.0
 
 
 @dataclass
@@ -65,19 +75,32 @@ def _pixels(img) -> np.ndarray:
 
 
 def make_clean(seed: int, n: int, side: int = 32) -> list:
-    """Smooth random fields: 3-6 Gaussian bumps, min-max normalized to [0, 1]."""
+    """Smooth random fields: 3-6 Gaussian bumps, min-max normalized to [0, 1].
+
+    Per patch the generator draws the bump count with rng.integers(3, 7) and
+    then one uniform row (cx, cy, sig, amp) per bump, in that order.  Bump i
+    is amp_i * exp(-((x - cx_i)^2 + (y - cy_i)^2) / (2 sig_i^2)), and the
+    bumps are added in draw order, so every pixel is the same double as a
+    per-bump `field += bump` loop gives.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    ys, xs = np.mgrid[0:side, 0:side].astype(float)
+    xs = np.arange(side, dtype=float)
+    ys = xs[:, None]
+    lows = np.array([0.0, 0.0, side / 8.0, 0.3])
+    highs = np.array([side, side, side / 3.0, 1.0])
     patches = []
     for _ in range(n):
-        field = np.zeros((side, side))
-        for _ in range(int(rng.integers(3, 7))):
-            cx, cy = rng.uniform(0.0, side, 2)
-            sig = rng.uniform(side / 8.0, side / 3.0)
-            amp = rng.uniform(0.3, 1.0)
-            field += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sig * sig))
+        draws = rng.uniform(lows, highs, (int(rng.integers(3, 7)), 4))
+        cx, cy, sig, amp = draws.T[:, :, None, None]
+        # One (count, side, side) stack.  sig >= side / 8 keeps every
+        # exponent above -64, so no exp here underflows.
+        bumps = (xs - cx) ** 2 + (ys - cy) ** 2
+        bumps /= -(2.0 * sig * sig)
+        np.exp(bumps, out=bumps)
+        bumps *= amp
+        field = bumps.sum(axis=0)
         lo, hi = field.min(), field.max()
         field = (field - lo) / (hi - lo) if hi - lo > 1e-12 else np.zeros_like(field)
         patches.append(Patch(pixels=field, domain_tag="clean"))
@@ -85,20 +108,37 @@ def make_clean(seed: int, n: int, side: int = 32) -> list:
 
 
 def streak_field(spec: DegradeSpec, shape) -> np.ndarray:
-    """Non-negative additive streak layer for the given patch shape."""
+    """Non-negative additive streak layer for the given patch shape.
+
+    A generator seeded with spec.seed draws one uniform row per streak: its
+    offset from the patch centre in [-half diagonal, half diagonal), then
+    its amplitude factor in [0.5, 1).  Streak i adds
+    streak_amplitude * factor_i * exp(-dist_i^2 / (2 sigma^2)), with
+    sigma = streak_width / 2 and dist_i the pixel's distance to the line,
+    and the streaks are added in draw order, so every pixel is the same
+    double as a per-streak `field += streak` loop gives.  A count of 0 or
+    less gives a zero field.
+    """
     h, w = shape
+    if spec.streak_count <= 0:
+        return np.zeros((h, w))
     rng = np.random.default_rng(spec.seed)
-    ys, xs = np.mgrid[0:h, 0:w].astype(float)
     ct, st = np.cos(spec.streak_angle), np.sin(spec.streak_angle)
     half_diag = 0.5 * np.hypot(h, w)
     sigma = max(spec.streak_width / 2.0, 1e-6)
-    field = np.zeros((h, w))
-    for _ in range(spec.streak_count):
-        offset = rng.uniform(-half_diag, half_diag)
-        amp = spec.streak_amplitude * rng.uniform(0.5, 1.0)
-        dist = np.abs(-st * (xs - w / 2.0) + ct * (ys - h / 2.0) - offset)
-        field += amp * np.exp(-(dist * dist) / (2.0 * sigma * sigma))
-    return field
+    draws = rng.uniform([-half_diag, 0.5], [half_diag, 1.0], (spec.streak_count, 2))
+    offset, factor = draws.T[:, :, None, None]
+    # Signed distance to the line through the centre, shifted by each
+    # streak's offset into one (count, h, w) stack; only its square is used.
+    along = -st * (np.arange(w, dtype=float) - w / 2.0) + ct * (np.arange(h, dtype=float)[:, None] - h / 2.0)
+    arg = along - offset
+    np.multiply(arg, arg, out=arg)
+    arg /= -(2.0 * sigma * sigma)
+    # exp of anything below the cut-off is exactly 0.0, and numpy takes far
+    # longer on such arguments than on ordinary ones, so skip them.
+    streaks = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_ZERO_BELOW)
+    streaks *= spec.streak_amplitude * factor
+    return streaks.sum(axis=0)
 
 
 def degrade(p: Patch, spec: DegradeSpec) -> Patch:

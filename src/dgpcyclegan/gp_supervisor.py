@@ -38,6 +38,7 @@ import numpy as np
 
 from .data_metrics import _pixels
 from .errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile, NotPositiveDefinite
+from .fileio import atomic_open
 from .kernels import KernelSpec, gram, kernel_row_grad
 # Not called here since k(q, q) comes off the joint Gram; perfbench/workloads.py
 # still wraps this module's effective_kernel by name, so it stays imported.
@@ -233,7 +234,7 @@ def write_bank(path, bank: FeatureBank) -> None:
     """Dump a bank to the flat binary layout documented in the README."""
     n, s_dim = bank.s.shape
     z_dim = bank.z.shape[1]
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(BANK_MAGIC)
         fh.write(struct.pack("<IIIIQ", _DOMAIN_CODES[bank.domain], n, s_dim, z_dim, bank.epoch_stamp))
         fh.write(np.ascontiguousarray(bank.s, dtype="<f8").tobytes())

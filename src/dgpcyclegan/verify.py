@@ -4,9 +4,9 @@ Each suite cross-checks an optimized code path against an independent route:
 hand-derived values, brute-force joint-Gaussian conditioning through an
 explicit dense inverse, central finite differences for every gradient, and
 per-row calls for every row-batched pass, the textbook Adam update for the
-fused one, and separate backward calls for the gradient formed over several
-caches at once.  Suites only ever touch the filesystem through a temporary
-directory.
+fused one, separate backward calls for the gradient formed over several
+caches at once, and per-bump and per-streak loops for the synthetic data.
+Suites only ever touch the filesystem through a temporary directory.
 """
 
 from __future__ import annotations
@@ -676,6 +676,73 @@ def param_grads_error(seed: int) -> float:
     return worst
 
 
+def loop_clean_pixels(seed: int, n: int, side: int) -> list:
+    """make_clean's pixels written as one `field += bump` step per bump."""
+    rng = np.random.default_rng(seed)
+    ys, xs = np.mgrid[0:side, 0:side].astype(float)
+    out = []
+    for _ in range(n):
+        field = np.zeros((side, side))
+        for _ in range(int(rng.integers(3, 7))):
+            cx, cy = rng.uniform(0.0, side, 2)
+            sig = rng.uniform(side / 8.0, side / 3.0)
+            amp = rng.uniform(0.3, 1.0)
+            field += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sig * sig))
+        lo, hi = field.min(), field.max()
+        out.append((field - lo) / (hi - lo) if hi - lo > 1e-12 else np.zeros_like(field))
+    return out
+
+
+def loop_streak_field(spec: DegradeSpec, shape) -> np.ndarray:
+    """streak_field written as one `field += streak` step per streak, exp taken everywhere."""
+    h, w = shape
+    rng = np.random.default_rng(spec.seed)
+    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    ct, st = np.cos(spec.streak_angle), np.sin(spec.streak_angle)
+    half_diag = 0.5 * np.hypot(h, w)
+    sigma = max(spec.streak_width / 2.0, 1e-6)
+    field = np.zeros((h, w))
+    for _ in range(spec.streak_count):
+        offset = rng.uniform(-half_diag, half_diag)
+        amp = spec.streak_amplitude * rng.uniform(0.5, 1.0)
+        dist = np.abs(-st * (xs - w / 2.0) + ct * (ys - h / 2.0) - offset)
+        field += amp * np.exp(-(dist * dist) / (2.0 * sigma * sigma))
+    return field
+
+
+# (shape, spec fields) of each streak case: the default 32x32 patch, whose
+# far pixels take exps that underflow or land in the subnormal range, 16x16
+# (none do), 11x11 with 3 streaks, a non-square patch, no streaks, one streak
+# (its subnormal tail is the whole field there) and amplitude 0.
+_STREAK_CASES = (
+    ((32, 32), {}),
+    ((16, 16), {}),
+    ((11, 11), {"streak_count": 3}),
+    ((12, 20), {}),
+    ((32, 32), {"streak_count": 0}),
+    ((32, 32), {"streak_count": 1}),
+    ((32, 32), {"streak_amplitude": 0.0}),
+)
+
+
+def synthetic_data_mismatches(seed: int) -> int:
+    """Arrays of make_clean and streak_field that differ in any bit from the loops above.
+
+    make_clean runs at sides 32, 16 and 11 and streak_field on every case
+    of _STREAK_CASES, each with seeds drawn from `seed`.
+    """
+    bad = 0
+    for side in (32, 16, 11):
+        got = [p.pixels for p in make_clean(seed, 4, side)]
+        bad += sum(a.tobytes() != b.tobytes() for a, b in zip(got, loop_clean_pixels(seed, 4, side)))
+    for shape, fields in _STREAK_CASES:
+        for j in range(3):
+            spec = DegradeSpec(seed=1000 * seed + j, **fields)
+            a, b = streak_field(spec, shape), loop_streak_field(spec, shape)
+            bad += a.shape != b.shape or a.tobytes() != b.tobytes()
+    return bad
+
+
 def metrics_suite() -> list:
     out = []
     rng = np.random.default_rng(505)
@@ -727,6 +794,10 @@ def metrics_suite() -> list:
         ident = degrade(scaled, DegradeSpec(streak_count=4, streak_amplitude=0.0, seed=5))
         ok = ok and bool(np.all(ident.pixels == scaled.pixels))
         check.done(ok, "field >= 0, amplitude 0 identity")
+
+    with _Check(out, "synthetic data vs per-bump and per-streak loops (exact)") as check:
+        bad = sum(synthetic_data_mismatches(seed) for seed in (0, 1, 7))
+        check.done(bad == 0, f"{bad} arrays differ in any bit (seeds 0, 1, 7)")
     return out
 
 

@@ -105,6 +105,9 @@ def test_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
         ("lambda_p = inf", "lambda_p"),
         ("kernel_beta = inf", "kernel_beta"),
         ("streak_amplitude = nan", "streak_amplitude"),
+        ("streak_count = -3", "streak_count"),
+        ("streak_amplitude = -0.5", "streak_amplitude"),
+        ("streak_width = 0", "streak_width"),
     ],
 )
 def test_train_refuses_unusable_value(fast_config, tmp_path, capsys, lines, key):

@@ -43,6 +43,13 @@ def test_degrade_amplitude_zero_is_identity():
     assert out.domain_tag == "weather"
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_streak_field_without_streaks_is_zero(count):
+    field = streak_field(DegradeSpec(streak_count=count, seed=4), (12, 14))
+    assert field.shape == (12, 14)
+    assert not field.any()
+
+
 def test_degrade_additive_below_clamp():
     # Scale the clean patch down so clean + streaks never clips; then the
     # degradation is exactly the additive streak field.
