@@ -55,3 +55,7 @@ class ConfigError(DgpError):
 
 class NonFiniteLoss(DgpError):
     """A training step produced a NaN or infinite loss term."""
+
+
+class NonFiniteGradient(DgpError):
+    """A training step produced a parameter gradient whose squared norm is not finite."""

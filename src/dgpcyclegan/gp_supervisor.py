@@ -91,11 +91,17 @@ class GpPosterior:
 
 
 def bank_build(images, generator, domain: str = "clean", epoch: int = 0) -> FeatureBank:
-    """Run all images through the generator in one stacked call and store their (s, z) taps."""
+    """Store the (s, z) taps of all images, from one stacked generator pass.
+
+    The pass is Generator.taps: it runs only the stages up to the z-tap and
+    keeps no cache, so the bank build holds its input stack, one stage's
+    activations and the taps, and the stages after tap_z run on no bank
+    row.  Its taps are bit for bit those of Generator.forward.
+    """
     images = list(images)
     if not images:
         raise EmptyDataset("cannot build a feature bank from zero images")
-    _, s, z, _ = generator.forward(_pixels(images))
+    s, z = generator.taps(_pixels(images))
     return FeatureBank(domain=domain, s=s, z=z, epoch_stamp=epoch)
 
 

@@ -57,7 +57,9 @@ def cholesky(a) -> CholFactor:
         raise DimensionMismatch(f"expected a (stack of) square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DimensionMismatch("matrix contains non-finite entries")
-    if a.size:
+    # The scale and skew passes run only for a stack that is not bit for bit
+    # symmetric; every matrix gp_condition builds is.
+    if not (a == a.swapaxes(-2, -1)).all():
         scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
         skew = np.max(np.abs(a - a.swapaxes(-2, -1)), axis=(-2, -1))
         if np.any(skew > SYMMETRY_TOL * scale):

@@ -14,7 +14,10 @@ gradients over the rows.  A single sample without the leading axis runs as a
 stack of one, and its taps and score drop that axis.
 
 All forward passes cache activations for exactly one matching backward
-call; a cache from another network raises CacheMismatch.
+call; a cache from another network raises CacheMismatch.  Generator.taps
+is the stage-limited pass for callers that read only the latents: the same
+per-stage arithmetic, run only up to tap_z, keeping only the two tap
+activations and no cache, so it is bit for bit forward's s and z.
 
 A training step allocates no parameter-sized array.  backward first runs
 the chain: it walks the stack from the output down, forms each stage's
@@ -25,9 +28,12 @@ of every cache it is given, and writes them into a caller-owned flat buffer
 (`out=buf`) or a fresh array.  backward(cache, g, out=buf) is the chain and
 then param_grads_from(cache, out=buf); param_grads=False stops after the
 chain and input_grad=False skips the first layer's input gradient.
+The buffer may be a leading slice of one larger array: the trainer forms
+each net's gradient there in turn, right before that net's Adam step.
 adam_step keeps unnormalised moments and folds both bias corrections into
 its step size and epsilon; it updates the moments and the parameter vector
 in place, returns that same vector and uses the gradient array as scratch.
+save_checkpoint writes each parameter vector's own buffer, without a copy.
 """
 
 from __future__ import annotations
@@ -97,21 +103,29 @@ class DenseStack:
     def n_params(self) -> int:
         return self.params.size
 
-    def _run(self, x) -> FwdCache:
+    def _run(self, x, stages: int | None = None, keep=None) -> FwdCache:
+        """Forward through the first `stages` stages (all by default).
+
+        With keep=None every activation and pre-activation goes into the
+        cache for backward.  Otherwise the cache holds only acts[i] for i in
+        keep (None elsewhere) and no pre-activation, so each stage's arrays
+        are freed while the next one runs.
+        """
         x = np.asarray(x, dtype=float)
         width = self.widths[0]
         lead = x.shape[:1] if x.ndim > 1 and math.prod(x.shape[1:]) == width else ()
         if not lead and x.size != width:
             raise ShapeMismatch(f"input has {x.size} values, expected {width} per row")
         a = x.reshape(-1, width)
-        acts = [a]
+        acts = [a if keep is None or 0 in keep else None]
         pres = []
         last = self.n_stages - 1
-        for i, (w_sl, b_sl, fan_in, fan_out) in enumerate(self._slices):
+        for i, (w_sl, b_sl, fan_in, fan_out) in enumerate(self._slices[:stages]):
             pre = a @ self.params[w_sl].reshape(fan_in, fan_out) + self.params[b_sl]
-            pres.append(pre)
             a = pre if i == last else _leaky(pre)
-            acts.append(a)
+            if keep is None:
+                pres.append(pre)
+            acts.append(a if keep is None or i + 1 in keep else None)
         return FwdCache(owner=id(self), x_shape=x.shape, lead=lead, acts=acts, pres=pres)
 
     def _backprop(self, cache: FwdCache, grad_out, tap_grads=None, out=None, param_grads=True, input_grad=True):
@@ -185,6 +199,15 @@ class Generator(DenseStack):
         y = cache.acts[-1].reshape(cache.x_shape)
         s, z = (cache.acts[t].reshape(cache.lead + (-1,)).copy() for t in (self.tap_s, self.tap_z))
         return y, s, z, cache
+
+    def taps(self, x):
+        """Returns (s, z) as forward does, from a pass that stops at tap_z and keeps no cache.
+
+        The same stage arithmetic as forward, so the taps are bit for bit
+        forward's; the stages after tap_z do not run.
+        """
+        cache = self._run(x, stages=self.tap_z, keep=(self.tap_s, self.tap_z))
+        return tuple(cache.acts[t].reshape(cache.lead + (-1,)) for t in (self.tap_s, self.tap_z))
 
     def backward(self, cache: FwdCache, grad_y, grad_s=None, grad_z=None, *, out=None,
                  param_grads=True, input_grad=True):
@@ -314,7 +337,8 @@ def save_checkpoint(path, nets: dict, step: int = 0) -> None:
             tap_z = net.tap_z if is_gen else -1
             fh.write(struct.pack("<ii", tap_s, tap_z))
             fh.write(struct.pack("<Q", net.n_params))
-            fh.write(np.ascontiguousarray(net.params, dtype="<f8").tobytes())
+            # The array's own buffer, not a tobytes() copy; the same bytes.
+            fh.write(np.ascontiguousarray(net.params, dtype="<f8"))
 
 
 def load_checkpoint(path):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_metrics import Patch, _pixels, psnr, ssim, write_pgm
-from .errors import EmptyDataset, NonFiniteLoss
+from .errors import EmptyDataset, NonFiniteGradient, NonFiniteLoss
 from .fileio import atomic_open
 from .gp_supervisor import (
     FeatureBank,
@@ -121,11 +121,14 @@ class EpochBanks(NamedTuple):
 
 @dataclass
 class TrainState:
-    """Networks, optimizer states and the gradient buffers every step reuses.
+    """Networks, optimizer states and the one gradient buffer every step reuses.
 
-    One buffer per generator and one shared by the two discriminators, which
-    train_step updates one after the other.  step counts the steps taken and
-    epoch is the one train_run is in; NonFiniteLoss names both.
+    grad is a single float64 vector as long as the largest net.  train_step
+    forms each net's parameter gradient in its leading slice (grad_for) right
+    before that net's Adam step, in the order gen_wc, gen_cw, disc_c, disc_w,
+    and Adam uses it as scratch; so the four nets use the buffer in turn and
+    no gradient outlives its update.  step counts the steps taken and epoch is
+    the one train_run is in; NonFiniteLoss and NonFiniteGradient name both.
     """
 
     gen_wc: Generator
@@ -137,14 +140,19 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     sigma2_log: list = field(default_factory=list)
-    grad_wc: np.ndarray = field(init=False, repr=False)
-    grad_cw: np.ndarray = field(init=False, repr=False)
-    grad_disc: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.grad_wc = np.empty(self.gen_wc.n_params)
-        self.grad_cw = np.empty(self.gen_cw.n_params)
-        self.grad_disc = np.empty(self.disc_c.n_params)
+        self.grad = np.empty(max(net.n_params for net in self.nets.values()))
+
+    @property
+    def nets(self) -> dict:
+        """The four networks by their checkpoint names, in update order."""
+        return {"gen_wc": self.gen_wc, "gen_cw": self.gen_cw, "disc_c": self.disc_c, "disc_w": self.disc_w}
+
+    def grad_for(self, net) -> np.ndarray:
+        """The leading slice of the shared buffer that holds net's gradient."""
+        return self.grad[: net.n_params]
 
 
 @dataclass
@@ -196,9 +204,8 @@ def generator_step_terms(
     gen_wc: Generator, gen_cw: Generator, disc_c: Discriminator, disc_w: Discriminator, iw, ic, *,
     lambda_p: float, kernel: KernelSpec | None = None, banks: EpochBanks | None = None,
     n_neighbors: int = 32, fixed_posteriors=None, grad_through_query: bool = False, want_grads: bool = True,
-    out_wc=None, out_cw=None,
 ):
-    """Batch-mean loss components and generator gradients for B unpaired pairs.
+    """Batch-mean loss components and the generators' backward caches for B unpaired pairs.
 
     iw and ic are stacks of B images each (shape (B, h, w)).  Pseudo terms
     are computed when either live banks or pre-computed posterior targets
@@ -206,11 +213,12 @@ def generator_step_terms(
     variance and neighbor choice are constants of the step, so their only
     gradient contribution is through the supervised z-tap (plus, optionally,
     the query's kernel row).
-    The generator gradients are written into out_wc / out_cw when given,
-    else into fresh arrays.
-    Each generator runs backward once per level, and its parameter
-    gradients are then formed in one pass over both levels' rows.
-    Returns (components dict with the total objective, grads_wc, grads_cw,
+    Each generator runs its backward chain once per level; its parameter
+    gradient is not formed here.  The caller forms it from the returned
+    caches in one pass over both levels' rows, gen.param_grads_from(*caches),
+    into a buffer of its choice or a fresh array.  With want_grads=False no
+    backward runs and both caches are None.
+    Returns (components dict with the total objective, caches_wc, caches_cw,
     posteriors, fakes).
     """
     iw, ic = _pixels(iw), _pixels(ic)
@@ -273,9 +281,7 @@ def generator_step_terms(
     # images are inputs, so no input gradient is formed.
     gen_wc.backward(cache_g1, np.concatenate([g_fake_c + g_fake_c_adv, g_id_c]), param_grads=False, input_grad=False)
     gen_cw.backward(cache_f1, np.concatenate([g_fake_w + g_fake_w_adv, g_id_w]), param_grads=False, input_grad=False)
-    g_wc = gen_wc.param_grads_from(cache_g1, cache_g2, out=out_wc)
-    g_cw = gen_cw.param_grads_from(cache_f1, cache_f2, out=out_cw)
-    return comps, g_wc, g_cw, (post_f, post_r), (fake_c, fake_w)
+    return comps, (cache_g1, cache_g2), (cache_f1, cache_f2), (post_f, post_r), (fake_c, fake_w)
 
 
 def discriminator_step_terms(disc: Discriminator, real, fake, want_grads: bool = True, out=None):
@@ -321,21 +327,21 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
     """One optimizer step over a batch of independent unpaired samples.
 
     Gradients are batch means; generators update first, then each
-    discriminator on its own objective against the pre-update fakes.  All
-    gradients go into the state's buffers, and Adam updates in place.  A
-    non-finite loss term raises NonFiniteLoss before any parameter moves.
+    discriminator on its own objective against the pre-update fakes.  Each
+    net's gradient is formed in the state's one buffer right before its Adam
+    step, which updates in place.  A non-finite loss term raises
+    NonFiniteLoss before any parameter moves; a gradient whose squared norm
+    is not finite raises NonFiniteGradient before that net moves.
     """
     iw, ic = _pixels(iw_batch), _pixels(ic_batch)
     use_banks = banks if config.dgp_enabled else None
-    comps, g_wc, g_cw, (post_f, post_r), (fake_c, fake_w) = generator_step_terms(
+    comps, caches_wc, caches_cw, (post_f, post_r), (fake_c, fake_w) = generator_step_terms(
         state.gen_wc, state.gen_cw, state.disc_c, state.disc_w, iw, ic,
         lambda_p=config.lambda_p,
         kernel=state.kernel,
         banks=use_banks,
         n_neighbors=config.n_neighbors,
         grad_through_query=config.grad_through_query,
-        out_wc=state.grad_wc,
-        out_cw=state.grad_cw,
     )
     bad = next((name for name in LOSS_FIELDS if not np.isfinite(comps[name])), None)
     if bad is not None:
@@ -343,18 +349,31 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
     if use_banks is not None:
         state.sigma2_log.extend([*post_f.variance, *post_r.variance])
 
-    adam_step(state.opt["gen_wc"], state.gen_wc.params, g_wc)
-    adam_step(state.opt["gen_cw"], state.gen_cw.params, g_cw)
-
-    # The discriminators are independent, so each updates before the next
-    # one's gradient reuses the shared buffer.
-    _, g_dc = discriminator_step_terms(state.disc_c, ic, fake_c, out=state.grad_disc)
-    adam_step(state.opt["disc_c"], state.disc_c.params, g_dc)
-    _, g_dw = discriminator_step_terms(state.disc_w, iw, fake_w, out=state.grad_disc)
-    adam_step(state.opt["disc_w"], state.disc_w.params, g_dw)
+    # param_grads_from reads only the caches, and the discriminator terms read
+    # the pre-update fakes and no generator parameter, so each net's gradient
+    # can wait in its caches until the net before it has updated.
+    gen_wc, gen_cw, disc_c, disc_w = state.gen_wc, state.gen_cw, state.disc_c, state.disc_w
+    _update(state, "gen_wc", gen_wc.param_grads_from(*caches_wc, out=state.grad_for(gen_wc)))
+    _update(state, "gen_cw", gen_cw.param_grads_from(*caches_cw, out=state.grad_for(gen_cw)))
+    _update(state, "disc_c", discriminator_step_terms(disc_c, ic, fake_c, out=state.grad_for(disc_c))[1])
+    _update(state, "disc_w", discriminator_step_terms(disc_w, iw, fake_w, out=state.grad_for(disc_w))[1])
 
     state.step += 1
     return LossBreakdown(**comps)
+
+
+def _update(state: TrainState, name: str, grads: np.ndarray) -> None:
+    """Adam step of one net after checking its gradient's squared norm is finite.
+
+    The squared norm, not the largest entry: Adam squares each entry, which
+    overflows above about 1.3e154 and freezes the net with an infinite v.
+    """
+    norm2 = np.dot(grads, grads)
+    if not np.isfinite(norm2):
+        raise NonFiniteGradient(
+            f"gradient of {name} has squared norm {norm2} at epoch {state.epoch}, step {state.step}"
+        )
+    adam_step(state.opt[name], getattr(state, name).params, grads)
 
 
 @dataclass
@@ -434,12 +453,7 @@ def train_run(
                 for i, strip in enumerate(strips):
                     write_pgm(out / f"sample_{epoch}_{i}.pgm", Patch(strip, "clean"))
             if (epoch + 1) % checkpoint_interval == 0 or epoch == config.epochs - 1:
-                save_checkpoint(
-                    out / f"ckpt_{epoch}.bin",
-                    {"gen_wc": state.gen_wc, "gen_cw": state.gen_cw,
-                     "disc_c": state.disc_c, "disc_w": state.disc_w},
-                    step=state.step,
-                )
+                save_checkpoint(out / f"ckpt_{epoch}.bin", state.nets, step=state.step)
 
     if out is not None:
         write_metrics_csv(out / "metrics.csv", history)

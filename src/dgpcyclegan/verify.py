@@ -3,9 +3,10 @@
 Each suite cross-checks an optimized code path against an independent route:
 hand-derived values, brute-force joint-Gaussian conditioning through an
 explicit dense inverse, central finite differences for every gradient, and
-per-row calls for every row-batched pass, the textbook Adam update for the
-fused one, separate backward calls for the gradient formed over several
-caches at once, and per-bump and per-streak loops for the synthetic data.
+per-row calls for every row-batched pass, the full forward pass for the
+bank build's stage-limited one, the textbook Adam update for the fused one,
+separate backward calls for the gradient formed over several caches at
+once, and per-bump and per-streak loops for the synthetic data.
 Suites only ever touch the filesystem through a temporary directory.
 """
 
@@ -352,7 +353,31 @@ def gp_suite() -> list:
     with _Check(out, "stacked GP vs per-row calls (B = 1..4, 3 seeds)") as check:
         rel = max(gp_rows_error(seed) for seed in range(3))
         check.done(rel <= 1e-12, f"worst rel err {rel:.2e}")
+
+    with _Check(out, "bank taps vs full-forward taps (exact)") as check:
+        bad = sum(bank_tap_mismatches(rows, side) for rows, side in BANK_TAP_CASES)
+        cases = ", ".join(f"{rows} rows at {side}x{side}" for rows, side in BANK_TAP_CASES)
+        check.done(bad == 0, f"{bad} taps differ in any bit ({cases})")
     return out
+
+
+# (rows, side) of the bank-tap check: a single image, a few, and the desk and
+# gp_wide bank sizes.
+BANK_TAP_CASES = ((1, 32), (3, 32), (200, 32), (400, 16))
+
+
+def bank_tap_mismatches(rows: int, side: int) -> int:
+    """Taps of bank_build's stage-limited pass that differ in any bit from Generator.forward's.
+
+    A default-width generator (hidden 128, 32, 32, 128; taps 2 and 3) over
+    `rows` random side x side images; counts s and z separately.
+    """
+    rng = np.random.default_rng(rows * 100 + side)
+    gen = Generator(side * side, rng=rng)
+    images = list(rng.uniform(0.0, 1.0, (rows, side, side)))
+    bank = gp_supervisor.bank_build(images, gen)
+    _, s, z, _ = gen.forward(np.stack(images))
+    return sum(a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in ((bank.s, s), (bank.z, z)))
 
 
 # Bound on the relative gap between each block of the joint Gram and the
@@ -546,8 +571,8 @@ def end_to_end_grad_error(seed: int) -> float:
         return comps["total"]
 
     base = np.concatenate([gen_wc.params, gen_cw.params])
-    _, g_wc, g_cw, _, _ = generator_step_terms(*nets, iw, ic, lambda_p=lam, fixed_posteriors=posts)
-    analytic = np.concatenate([g_wc, g_cw])
+    _, caches_wc, caches_cw, _, _ = generator_step_terms(*nets, iw, ic, lambda_p=lam, fixed_posteriors=posts)
+    analytic = np.concatenate([gen_wc.param_grads_from(*caches_wc), gen_cw.param_grads_from(*caches_cw)])
     numeric = fd_grad(composite, base.copy(), h=1e-6)
     gen_wc.params = base[:n_wc]
     gen_cw.params = base[n_wc:]
@@ -593,10 +618,16 @@ def step_rows_error(seed: int) -> float:
                        gp_supervisor.bank_build(bank_c, nets[1], "clean"))
     kw = dict(lambda_p=0.05, kernel=KernelSpec.homogeneous(depth=2), banks=banks,
               n_neighbors=3, grad_through_query=True)
-    comps, g_wc, g_cw, _, _ = generator_step_terms(*nets, iw, ic, **kw)
-    singles = [generator_step_terms(*nets, iw[i : i + 1], ic[i : i + 1], **kw) for i in range(2)]
+    gens = nets[:2]
+
+    def terms(iw, ic):
+        comps, *caches, _, _ = generator_step_terms(*nets, iw, ic, **kw)
+        return comps, [gen.param_grads_from(*c) for gen, c in zip(gens, caches)]
+
+    comps, grads = terms(iw, ic)
+    singles = [terms(iw[i : i + 1], ic[i : i + 1]) for i in range(2)]
     worst = max(_rel(comps[k], np.mean([one[0][k] for one in singles])) for k in comps)
-    return max(worst, *(_rel(g, np.mean([one[k] for one in singles], axis=0)) for k, g in ((1, g_wc), (2, g_cw))))
+    return max(worst, *(_rel(g, np.mean([one[1][k] for one in singles], axis=0)) for k, g in enumerate(grads)))
 
 
 # Bound on the fused Adam update's gap to the textbook one, relative to the

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dgpcyclegan import gp_supervisor, trainer, verify
 from dgpcyclegan.cli import build_run_config, main, parse_config_file
 from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
+from dgpcyclegan_console import BLAS_THREAD_VARS
 
 FAST_KEYS = """
 # desk-scale but tiny, for command tests
@@ -211,6 +217,64 @@ def test_train_stops_on_a_non_finite_loss(fast_config, tmp_path, capsys, monkeyp
     assert all(np.array_equal(net.params, p, equal_nan=True) for net, p in zip(nets_of(state), before))
     assert all(opt.t == 0 for opt in state.opt.values())
     assert not (out / "metrics.csv").exists()
+
+
+def test_train_stops_on_a_non_finite_gradient(tmp_path, capsys):
+    # lambda_p = 1e300 keeps every loss term finite, but the generators'
+    # gradients square past the float range; Adam would freeze both nets.
+    path = tmp_path / "run.cfg"
+    path.write_text("n_train = 20\nepochs = 2\n")
+    out = tmp_path / "huge"
+    assert main(["train", "--config", str(path), "--out", str(out), "--lambda-p", "1e300"]) == 1
+    assert capsys.readouterr().err.endswith("error: gradient of gen_wc has squared norm inf at epoch 0, step 0\n")
+    assert not (out / "metrics.csv").exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Records the BLAS thread variables at the moment numpy is first imported.
+CONSOLE_PROBE = """
+import os, sys
+names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = []
+
+class NumpySpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in names])
+
+sys.meta_path.insert(0, NumpySpy())
+if sys.argv[1] == "console":
+    import dgpcyclegan_console
+    assert "numpy" not in sys.modules
+    sys.argv = ["dgpcyclegan", "--help"]
+    try:
+        dgpcyclegan_console.entrypoint()
+    except SystemExit:
+        pass
+else:
+    import dgpcyclegan
+print(seen[0], [os.environ.get(v) for v in names])
+"""
+
+
+@pytest.mark.parametrize("user_omp", [None, "3"])
+def test_console_command_defaults_blas_threads_before_numpy(user_omp):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    if user_omp is not None:
+        env["OMP_NUM_THREADS"] = user_omp
+
+    def probe(mode):
+        done = subprocess.run([sys.executable, "-c", CONSOLE_PROBE, mode], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]  # after the usage text of --help
+
+    omp = user_omp or "1"
+    assert probe("console") == f"['1', '{omp}', '1'] ['1', '{omp}', '1']"
+    # Importing the library leaves the variables as the user set them.
+    assert probe("library") == f"[None, {user_omp!r}, None] [None, {user_omp!r}, None]"
+    assert 'dgpcyclegan = "dgpcyclegan_console:entrypoint"' in (ROOT / "pyproject.toml").read_text()
 
 
 def test_train_seed_repeatable(fast_config, tmp_path):

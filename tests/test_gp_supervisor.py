@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,26 @@ def test_bank_build_deterministic_and_weight_sensitive():
     gen.params = gen.params + 0.01
     c = bank_build(images, gen)
     assert not np.array_equal(a.z, c.z)
+
+
+@pytest.mark.parametrize("rows, side", [(200, 32), (400, 16)])
+def test_bank_build_peak_memory_stays_near_its_input_stack(rows, side):
+    # Default-width generator at the desk and gp_wide bank sizes: the pass
+    # stops at the z-tap and keeps no cache, so past the stacked input it
+    # holds about one stage's activations.  The full forward peaked at
+    # 5.73 MiB (200 x 32 x 32) and 4.37 MiB (400 x 16 x 16).
+    rng = np.random.default_rng(rows)
+    gen = Generator(side * side, rng=rng)
+    images = list(rng.uniform(0.0, 1.0, (rows, side, side)))
+    stack_bytes = rows * side * side * 8
+    tracemalloc.start()
+    try:
+        bank = bank_build(images, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bank) == rows
+    assert peak < stack_bytes + 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_bank_build_empty_dataset():

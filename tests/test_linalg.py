@@ -33,6 +33,28 @@ def test_cholesky_rejects_asymmetric():
         cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_cholesky_factors_a_matrix_skew_within_tolerance():
+    a = random_pd(np.random.default_rng(3), 4)
+    a[0, 1] += 1e-12 * np.max(np.abs(a))
+    f = cholesky(a)
+    assert f.jitter_used == 0.0 and f.matrix is a
+
+
+def test_cholesky_rejects_skew_above_tolerance_in_a_stack():
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_pd(rng, 4), random_pd(rng, 4)])
+    stack[1, 2, 0] += 1e-6 * np.max(np.abs(stack[1]))
+    with pytest.raises(NotSymmetric):
+        cholesky(stack)
+
+
+def test_cholesky_rejects_nan():
+    a = np.eye(3)
+    a[1, 1] = np.nan
+    with pytest.raises(DimensionMismatch):
+        cholesky(a)
+
+
 def test_cholesky_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         cholesky(np.ones((2, 3)))

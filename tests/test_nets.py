@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from dgpcyclegan import nets
 from dgpcyclegan.errors import CacheMismatch, MalformedFile, ShapeMismatch
 from dgpcyclegan.nets import (
+    CKPT_MAGIC,
     AdamState,
     Discriminator,
     Generator,
@@ -56,6 +59,25 @@ def test_tap_ordering_enforced():
         Generator(16, hidden=(6, 4, 4, 6), tap_s=3, tap_z=2)
     with pytest.raises(ValueError):
         Generator(16, hidden=(6, 4, 4, 6), tap_s=2, tap_z=5)  # tap on output stage
+
+
+@pytest.mark.parametrize("taps", [(1, 2), (2, 3), (1, 4), (3, 4)])
+def test_taps_pass_is_forward_bit_for_bit(taps):
+    gen = Generator(16, hidden=(6, 5, 4, 7), tap_s=taps[0], tap_z=taps[1], rng=np.random.default_rng(26))
+    x = np.random.default_rng(27).uniform(0, 1, (5, 4, 4))
+    _, s, z, _ = gen.forward(x)
+    s_only, z_only = gen.taps(x)
+    assert s_only.shape == s.shape and s_only.tobytes() == s.tobytes()
+    assert z_only.shape == z.shape and z_only.tobytes() == z.tobytes()
+    s1, z1 = gen.taps(x[0])  # a single sample drops the leading axis, as in forward
+    assert s1.shape == (s.shape[1],) and np.array_equal(z1, gen.forward(x[0])[2])
+
+
+def test_taps_pass_stops_at_the_z_tap_and_keeps_no_cache():
+    gen = Generator(16, hidden=(6, 5, 4, 7), tap_s=1, tap_z=2, rng=np.random.default_rng(28))
+    cache = gen._run(np.zeros((3, 16)), stages=gen.tap_z, keep=(gen.tap_s, gen.tap_z))
+    assert [a is not None for a in cache.acts] == [False, True, True]
+    assert cache.pres == []
 
 
 def test_tap_s_precedes_tap_z_structurally():
@@ -300,6 +322,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     y1, s1, z1, _ = gen.forward(x)
     y2, s2, z2, _ = nets["gen_wc"].forward(x)
     assert np.array_equal(y1, y2) and np.array_equal(s1, s2) and np.array_equal(z1, z2)
+
+
+def reference_checkpoint_bytes(nets_by_name: dict, step: int) -> bytes:
+    """The documented checkpoint layout, each parameter vector written through a tobytes() copy."""
+    out = [CKPT_MAGIC, struct.pack("<IQ", len(nets_by_name), step)]
+    for name, net in nets_by_name.items():
+        is_gen = isinstance(net, Generator)
+        out += [struct.pack("<I", len(name.encode())), name.encode(), struct.pack("<B", 0 if is_gen else 1),
+                struct.pack("<I", len(net.widths)), struct.pack(f"<{len(net.widths)}I", *net.widths),
+                struct.pack("<ii", *((net.tap_s, net.tap_z) if is_gen else (-1, -1))),
+                struct.pack("<Q", net.n_params), net.params.astype("<f8").tobytes()]
+    return b"".join(out)
+
+
+def test_checkpoint_bytes_equal_a_tobytes_reference_writer(tmp_path):
+    nets_by_name = {"gen_wc": Generator(64, rng=24), "disc_c": Discriminator(64, hidden=(8, 4), rng=25)}
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, nets_by_name, step=7)
+    assert path.read_bytes() == reference_checkpoint_bytes(nets_by_name, 7)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

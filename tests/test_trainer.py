@@ -1,15 +1,17 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dgpcyclegan.data_metrics import DegradeSpec, make_unpaired_sets
-from dgpcyclegan.errors import EmptyDataset
-from dgpcyclegan.nets import Discriminator
+from dgpcyclegan.errors import EmptyDataset, NonFiniteGradient
+from dgpcyclegan.nets import Discriminator, adam_step
 from dgpcyclegan.trainer import (
     CSV_COLUMNS,
     DeskData,
     TrainConfig,
+    TrainState,
     build_epoch_banks,
     discriminator_step_terms,
     generator_step_terms,
@@ -202,13 +204,18 @@ def test_batched_step_is_mean_of_single_pair_steps():
     kw = dict(lambda_p=0.05, kernel=state.kernel, banks=banks, n_neighbors=3, grad_through_query=True)
     iw = np.stack([p.pixels for p in data.weather_train[:2]])
     ic = np.stack([p.pixels for p in data.clean_train[:2]])
-    comps, g_wc, g_cw, _, _ = generator_step_terms(*nets, iw, ic, **kw)
-    singles = [generator_step_terms(*nets, iw[i : i + 1], ic[i : i + 1], **kw) for i in range(2)]
+
+    def terms(iw, ic):
+        comps, caches_wc, caches_cw, _, _ = generator_step_terms(*nets, iw, ic, **kw)
+        return comps, (state.gen_wc.param_grads_from(*caches_wc), state.gen_cw.param_grads_from(*caches_cw))
+
+    comps, grads = terms(iw, ic)
+    singles = [terms(iw[i : i + 1], ic[i : i + 1]) for i in range(2)]
     for key, value in comps.items():
         mean = (singles[0][0][key] + singles[1][0][key]) / 2
         assert abs(value - mean) <= 1e-12 * abs(value), key
-    for got, k in ((g_wc, 1), (g_cw, 2)):
-        mean = (singles[0][k] + singles[1][k]) / 2
+    for k, got in enumerate(grads):
+        mean = (singles[0][1][k] + singles[1][1][k]) / 2
         assert np.linalg.norm(got - mean) <= 1e-12 * np.linalg.norm(got)
 
 
@@ -327,3 +334,48 @@ def test_warm_train_step_allocates_no_parameter_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * state.gen_wc.n_params
+
+
+def test_train_state_holds_one_gradient_buffer_of_the_largest_net():
+    state = init_state(TrainConfig())
+    arrays = [f.name for f in fields(TrainState) if isinstance(getattr(state, f.name), np.ndarray)]
+    assert arrays == ["grad"]
+    sizes = [net.n_params for net in state.nets.values()]
+    assert state.grad.shape == (max(sizes),) and state.grad.dtype == np.float64
+    for net in state.nets.values():
+        g = state.grad_for(net)
+        assert g.shape == (net.n_params,) and np.shares_memory(g, state.grad) and g.flags.c_contiguous
+
+
+def test_one_buffer_step_is_bit_identical_to_fresh_gradients():
+    # Reference: every gradient formed into a fresh array before any update.
+    cfg = small_config()
+    data = small_data(n=6)
+    iw, ic = data.weather_train[:2], data.clean_train[:2]
+    state, ref = init_state(cfg), init_state(cfg)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    train_step(iw, ic, banks, state, cfg)
+
+    nets = (ref.gen_wc, ref.gen_cw, ref.disc_c, ref.disc_w)
+    _, caches_wc, caches_cw, _, (fake_c, fake_w) = generator_step_terms(
+        *nets, iw, ic, lambda_p=cfg.lambda_p, kernel=ref.kernel, banks=banks, n_neighbors=cfg.n_neighbors,
+    )
+    grads = [ref.gen_wc.param_grads_from(*caches_wc), ref.gen_cw.param_grads_from(*caches_cw),
+             discriminator_step_terms(ref.disc_c, ic, fake_c)[1], discriminator_step_terms(ref.disc_w, iw, fake_w)[1]]
+    for name, g in zip(ref.nets, grads):
+        adam_step(ref.opt[name], ref.nets[name].params, g)
+    for name in ref.nets:
+        assert np.array_equal(state.nets[name].params, ref.nets[name].params), name
+
+
+def test_train_step_stops_on_a_non_finite_gradient():
+    # An overflowing pseudo weight: every loss term is finite, but the
+    # generator's gradient squares past the float range.
+    cfg = small_config(lambda_p=1e300)
+    data = small_data(n=4)
+    state = init_state(cfg)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    before = state.gen_wc.params.copy()
+    with pytest.raises(NonFiniteGradient, match=r"gradient of gen_wc .* at epoch 0, step 0"):
+        train_step(data.weather_train[:2], data.clean_train[:2], banks, state, cfg)
+    assert np.array_equal(state.gen_wc.params, before) and state.opt["gen_wc"].t == 0

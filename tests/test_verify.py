@@ -29,6 +29,7 @@ ROWS = {
         "one_point_closed_form", "noiseless_interpolation", "variance_bounds_and_reduction",
         "permutation_invariance", "brute_force_oracle_equivalence_100", "stacked_GP_vs_per_row_calls_B_1_4_3_seeds",
         "joint_Gram_blocks_vs_separate_kernel_calls_60", "pseudo_loss_value_and_multiplier",
+        "bank_taps_vs_full_forward_taps_exact",
     ),
     "grads": (
         "pseudo_loss_gradient_vs_FD_50", "query_gradient_toggle_vs_FD_se_lin_sc_depth_1_3",
