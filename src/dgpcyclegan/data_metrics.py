@@ -10,16 +10,22 @@ split.
 
 The data are fixed by their seeds, to the last bit.  Each patch takes its
 random numbers in a fixed order (per bump: cx, cy, sig, amp; per streak:
-offset, then amplitude factor), drawn as one rng.uniform row per bump or
-streak, and its bumps or streaks are added in draw order, from one
-(count, h, w) stack summed over its first axis; numpy adds those rows one
-after another, exactly as a `field += term` loop does.  `verify` holds that
-loop as the reference and checks the two bit for bit.
+offset, then amplitude factor), one row per bump or streak, and its bumps or
+streaks are added in draw order.  A whole set is built as array stacks: the
+draws of every patch go into one array in that order, the bumps or streaks
+of a chunk of patches into one (term, patch, h, w) stack of at most
+CHUNK_ELEMENTS values (or one patch's, if that is more), summed over its
+first axis (numpy adds those rows one after another, exactly as a
+`field += term` loop does), and each set's patches are the rows of one
+(n, h, w) array.  Clean patches pad their bump rows to six with amplitude
+0, which adds an exact +0.0.  make_clean, streak_field and degrade are the
+one-row case of the same code.  `verify` holds the per-patch loops as the
+reference and checks the two bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +43,14 @@ SSIM_C2 = 0.03 ** 2
 _SEED_STRIDE = 100003
 # exp(x) is exactly 0.0 in double precision for every x below this.
 _EXP_ZERO_BELOW = -746.0
+# Most bumps a clean patch draws; each patch's bump rows are padded to it.
+_MAX_BUMPS = 6
+# Most elements of one chunk's (term, patch, h, w) stack of bumps or streaks,
+# 256 KiB of float64; a chunk holds at least one patch.  A set is built chunk
+# by chunk, so its temporaries stay this size however many patches it holds.
+# Chosen by measurement: larger chunks left set-up RSS higher, smaller ones
+# made set-up slower.
+CHUNK_ELEMENTS = 32768
 
 
 @dataclass
@@ -74,6 +88,95 @@ def _pixels(img) -> np.ndarray:
     return np.asarray(img, dtype=float)
 
 
+def _clean_stack(seed: int, n: int, side: int) -> np.ndarray:
+    """The pixels of make_clean(seed, n, side) as one (n, side, side) array."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rng = np.random.default_rng(seed)
+    # Each patch's bump rows (cx, cy, sig, amp), padded to _MAX_BUMPS rows
+    # of (0, 0, side / 8, 0); a pad row adds an exact +0.0 to its
+    # non-negative field.  The unit draws are scaled once per set, as
+    # rng.uniform(low, high) scales them: low + (high - low) * u.
+    draws = np.zeros((n, _MAX_BUMPS, 4))
+    counts = np.empty(n, dtype=int)
+    for i, row in enumerate(draws):
+        counts[i] = rng.integers(3, 7)
+        rng.random(out=row[: counts[i]])
+    lows = np.array([0.0, 0.0, side / 8.0, 0.3])
+    draws *= np.array([side, side, side / 3.0, 1.0]) - lows
+    draws += lows
+    draws[np.arange(_MAX_BUMPS) >= counts[:, None], 3] = 0.0
+    xs = np.arange(side, dtype=float)
+    ys = xs[:, None]
+    out = np.empty((n, side, side))
+    for rows, params in _chunks(draws, _MAX_BUMPS * side * side):
+        cx, cy, sig, amp = params.T[:, :, :, None, None]
+        # One (bump, patch, side, side) stack.  sig >= side / 8 keeps every
+        # exponent above -64, so no exp here underflows.
+        bumps = (xs - cx) ** 2 + (ys - cy) ** 2
+        bumps /= -(2.0 * sig * sig)
+        np.exp(bumps, out=bumps)
+        bumps *= amp
+        bumps.sum(axis=0, out=out[rows])
+    lo = out.min(axis=(1, 2), keepdims=True)
+    span = out.max(axis=(1, 2), keepdims=True) - lo
+    out -= lo
+    np.divide(out, span, out=out, where=span > 1e-12)
+    out[span[:, 0, 0] <= 1e-12] = 0.0
+    return out
+
+
+def _add_streaks(fields: np.ndarray, spec: DegradeSpec, seeds) -> np.ndarray:
+    """Adds streak_field(spec with seed seeds[i]) to row i of the (n, h, w) fields, in place; returns fields."""
+    if spec.streak_count <= 0:
+        return fields
+    h, w = fields.shape[1:]
+    ct, st = np.cos(spec.streak_angle), np.sin(spec.streak_angle)
+    half_diag = 0.5 * np.hypot(h, w)
+    sigma = max(spec.streak_width / 2.0, 1e-6)
+    # Each patch's streak rows (offset, factor), from unit draws scaled once
+    # per set as rng.uniform(low, high) scales them: low + (high - low) * u.
+    draws = np.empty((len(fields), spec.streak_count, 2))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).random(out=row)
+    lows = np.array([-half_diag, 0.5])
+    draws *= np.array([half_diag, 1.0]) - lows
+    draws += lows
+    # Signed distance to the line through the centre; each streak shifts it
+    # by its offset.  Only its square is used.
+    along = -st * (np.arange(w, dtype=float) - w / 2.0) + ct * (np.arange(h, dtype=float)[:, None] - h / 2.0)
+    for rows, params in _chunks(draws, spec.streak_count * h * w):
+        offset, factor = params.T[:, :, :, None, None]
+        # One (streak, patch, h, w) stack.
+        arg = along - offset
+        np.multiply(arg, arg, out=arg)
+        arg /= -(2.0 * sigma * sigma)
+        # exp of anything below the cut-off is exactly 0.0, and numpy takes far
+        # longer on such arguments than on ordinary ones, so skip them.
+        streaks = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_ZERO_BELOW)
+        streaks *= spec.streak_amplitude * factor
+        fields[rows] += streaks.sum(axis=0)
+    return fields
+
+
+def _chunks(draws: np.ndarray, elements_per_row: int):
+    """(slice, draws[slice]) over consecutive row ranges whose stacks hold at most CHUNK_ELEMENTS."""
+    step = max(1, CHUNK_ELEMENTS // elements_per_row)
+    for start in range(0, len(draws), step):
+        rows = slice(start, start + step)
+        yield rows, draws[rows]
+
+
+def _degrade_rows(stack: np.ndarray, spec: DegradeSpec, seeds) -> np.ndarray:
+    """clamp(row + streak field, 0, 1) of each row of stack, in place, row i's streaks drawn from seeds[i]."""
+    return np.clip(_add_streaks(stack, spec, seeds), 0.0, 1.0, out=stack)
+
+
+def _patches(stack: np.ndarray, domain_tag: str) -> list:
+    """One Patch per row of a (n, h, w) stack; each patch's pixels are a view of its row."""
+    return [Patch(pixels=row, domain_tag=domain_tag) for row in stack]
+
+
 def make_clean(seed: int, n: int, side: int = 32) -> list:
     """Smooth random fields: 3-6 Gaussian bumps, min-max normalized to [0, 1].
 
@@ -83,28 +186,7 @@ def make_clean(seed: int, n: int, side: int = 32) -> list:
     bumps are added in draw order, so every pixel is the same double as a
     per-bump `field += bump` loop gives.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    xs = np.arange(side, dtype=float)
-    ys = xs[:, None]
-    lows = np.array([0.0, 0.0, side / 8.0, 0.3])
-    highs = np.array([side, side, side / 3.0, 1.0])
-    patches = []
-    for _ in range(n):
-        draws = rng.uniform(lows, highs, (int(rng.integers(3, 7)), 4))
-        cx, cy, sig, amp = draws.T[:, :, None, None]
-        # One (count, side, side) stack.  sig >= side / 8 keeps every
-        # exponent above -64, so no exp here underflows.
-        bumps = (xs - cx) ** 2 + (ys - cy) ** 2
-        bumps /= -(2.0 * sig * sig)
-        np.exp(bumps, out=bumps)
-        bumps *= amp
-        field = bumps.sum(axis=0)
-        lo, hi = field.min(), field.max()
-        field = (field - lo) / (hi - lo) if hi - lo > 1e-12 else np.zeros_like(field)
-        patches.append(Patch(pixels=field, domain_tag="clean"))
-    return patches
+    return _patches(_clean_stack(seed, n, side), "clean")
 
 
 def streak_field(spec: DegradeSpec, shape) -> np.ndarray:
@@ -119,52 +201,35 @@ def streak_field(spec: DegradeSpec, shape) -> np.ndarray:
     double as a per-streak `field += streak` loop gives.  A count of 0 or
     less gives a zero field.
     """
-    h, w = shape
-    if spec.streak_count <= 0:
-        return np.zeros((h, w))
-    rng = np.random.default_rng(spec.seed)
-    ct, st = np.cos(spec.streak_angle), np.sin(spec.streak_angle)
-    half_diag = 0.5 * np.hypot(h, w)
-    sigma = max(spec.streak_width / 2.0, 1e-6)
-    draws = rng.uniform([-half_diag, 0.5], [half_diag, 1.0], (spec.streak_count, 2))
-    offset, factor = draws.T[:, :, None, None]
-    # Signed distance to the line through the centre, shifted by each
-    # streak's offset into one (count, h, w) stack; only its square is used.
-    along = -st * (np.arange(w, dtype=float) - w / 2.0) + ct * (np.arange(h, dtype=float)[:, None] - h / 2.0)
-    arg = along - offset
-    np.multiply(arg, arg, out=arg)
-    arg /= -(2.0 * sigma * sigma)
-    # exp of anything below the cut-off is exactly 0.0, and numpy takes far
-    # longer on such arguments than on ordinary ones, so skip them.
-    streaks = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_ZERO_BELOW)
-    streaks *= spec.streak_amplitude * factor
-    return streaks.sum(axis=0)
+    return _add_streaks(np.zeros((1, *shape)), spec, [spec.seed])[0]
 
 
 def degrade(p: Patch, spec: DegradeSpec) -> Patch:
     """clamp(clean + streak_field, 0, 1), deterministic per spec.seed."""
-    out = np.clip(_pixels(p) + streak_field(spec, _pixels(p).shape), 0.0, 1.0)
-    return Patch(pixels=out, domain_tag="weather")
+    return Patch(pixels=_degrade_rows(_pixels(p)[None].copy(), spec, [spec.seed])[0], domain_tag="weather")
 
 
 def make_unpaired_sets(n_per_domain: int, spec: DegradeSpec, seed: int, side: int = 32):
-    """Unpaired training sets: clean patches and independently degraded ones."""
+    """Unpaired training sets: clean patches and independently degraded ones.
+
+    Weather patch i is degrade(source patch i, spec with seed base + 1000 + i).
+    """
     base = _SEED_STRIDE * seed
-    clean = make_clean(base + 1, n_per_domain, side)
-    weather_src = make_clean(base + 2, n_per_domain, side)
-    weather = [
-        degrade(p, replace(spec, seed=base + 1000 + i)) for i, p in enumerate(weather_src)
-    ]
-    return clean, weather
+    clean = _clean_stack(base + 1, n_per_domain, side)
+    weather = _degrade_rows(_clean_stack(base + 2, n_per_domain, side), spec,
+                            range(base + 1000, base + 1000 + n_per_domain))
+    return _patches(clean, "clean"), _patches(weather, "weather")
 
 
 def make_eval_pairs(n: int, spec: DegradeSpec, seed: int, side: int = 32):
-    """Held-out (weather, clean) pairs used only for PSNR/SSIM evaluation."""
+    """Held-out (weather, clean) pairs used only for PSNR/SSIM evaluation.
+
+    Pair i degrades its clean patch with the spec's seed set to base + 500000 + i.
+    """
     base = _SEED_STRIDE * seed
-    clean = make_clean(base + 3, n, side)
-    return [
-        (degrade(p, replace(spec, seed=base + 500000 + i)), p) for i, p in enumerate(clean)
-    ]
+    clean = _clean_stack(base + 3, n, side)
+    weather = _degrade_rows(clean.copy(), spec, range(base + 500000, base + 500000 + n))
+    return list(zip(_patches(weather, "weather"), _patches(clean, "clean")))
 
 
 # --- metrics ---------------------------------------------------------------

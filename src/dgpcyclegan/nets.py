@@ -33,14 +33,17 @@ each net's gradient there in turn, right before that net's Adam step.
 adam_step keeps unnormalised moments and folds both bias corrections into
 its step size and epsilon; it updates the moments and the parameter vector
 in place, returns that same vector and uses the gradient array as scratch.
-save_checkpoint writes each parameter vector's own buffer, without a copy.
+save_checkpoint writes each parameter vector's own buffer, without a copy,
+and load_checkpoint reads each one straight into its rebuilt net's params.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -342,43 +345,50 @@ def save_checkpoint(path, nets: dict, step: int = 0) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild the saved networks; returns (nets dict, step)."""
+    """Rebuild the saved networks; returns (nets dict, step).
+
+    The header fields are read from the file one by one and each parameter
+    vector straight into its rebuilt net's own `params`, so loading holds
+    no second copy of the file.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        end = os.fstat(fh.fileno()).st_size
 
-    def take(fmt, offset):
-        size = struct.calcsize(fmt)
-        if offset + size > len(raw):
-            raise MalformedFile(f"{path}: truncated checkpoint")
-        return struct.unpack_from(fmt, raw, offset), offset + size
+        def take(fmt):
+            size = struct.calcsize(fmt)
+            raw = fh.read(size)
+            if len(raw) < size:
+                raise MalformedFile(f"{path}: truncated checkpoint")
+            return struct.unpack(fmt, raw)
 
-    if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise MalformedFile(f"{path}: not a checkpoint file")
-    (n_nets, step), off = take("<IQ", len(CKPT_MAGIC))
-    nets = {}
-    for _ in range(n_nets):
-        (name_len,), off = take("<I", off)
-        if off + name_len > len(raw):
-            raise MalformedFile(f"{path}: truncated checkpoint")
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (kind,), off = take("<B", off)
-        (n_widths,), off = take("<I", off)
-        widths, off = take(f"<{n_widths}I", off)
-        (tap_s, tap_z), off = take("<ii", off)
-        (n_params,), off = take("<Q", off)
-        if off + 8 * n_params > len(raw):
-            raise MalformedFile(f"{path}: truncated checkpoint")
-        params = np.frombuffer(raw, dtype="<f8", count=n_params, offset=off).copy()
-        off += 8 * n_params
-        if kind == 0:
-            net = Generator(widths[0], hidden=widths[1:-1], tap_s=tap_s, tap_z=tap_z)
-        elif kind == 1:
-            net = Discriminator(widths[0], hidden=widths[1:-1])
-        else:
-            raise MalformedFile(f"{path}: unknown network kind {kind}")
-        if net.n_params != n_params:
-            raise MalformedFile(f"{path}: parameter count mismatch for {name!r}")
-        net.params = params
-        nets[name] = net
+        if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+            raise MalformedFile(f"{path}: not a checkpoint file")
+        n_nets, step = take("<IQ")
+        nets = {}
+        for _ in range(n_nets):
+            (name_len,) = take("<I")
+            name = fh.read(name_len)
+            if len(name) < name_len:
+                raise MalformedFile(f"{path}: truncated checkpoint")
+            name = name.decode("utf-8")
+            (kind,) = take("<B")
+            (n_widths,) = take("<I")
+            widths = take(f"<{n_widths}I")
+            tap_s, tap_z = take("<ii")
+            (n_params,) = take("<Q")
+            if fh.tell() + 8 * n_params > end:
+                raise MalformedFile(f"{path}: truncated checkpoint")
+            if kind == 0:
+                net = Generator(widths[0], hidden=widths[1:-1], tap_s=tap_s, tap_z=tap_z)
+            elif kind == 1:
+                net = Discriminator(widths[0], hidden=widths[1:-1])
+            else:
+                raise MalformedFile(f"{path}: unknown network kind {kind}")
+            if net.n_params != n_params:
+                raise MalformedFile(f"{path}: parameter count mismatch for {name!r}")
+            if fh.readinto(net.params.view(np.uint8)) < 8 * n_params:
+                raise MalformedFile(f"{path}: truncated checkpoint")
+            if sys.byteorder != "little":
+                net.params.byteswap(inplace=True)
+            nets[name] = net
     return nets, step

@@ -367,8 +367,10 @@ def _update(state: TrainState, name: str, grads: np.ndarray) -> None:
 
     The squared norm, not the largest entry: Adam squares each entry, which
     overflows above about 1.3e154 and freezes the net with an infinite v.
+    The norm itself may overflow; the check below reports that, not numpy.
     """
-    norm2 = np.dot(grads, grads)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = np.dot(grads, grads)
     if not np.isfinite(norm2):
         raise NonFiniteGradient(
             f"gradient of {name} has squared norm {norm2} at epoch {state.epoch}, step {state.step}"

@@ -6,20 +6,35 @@ explicit dense inverse, central finite differences for every gradient, and
 per-row calls for every row-batched pass, the full forward pass for the
 bank build's stage-limited one, the textbook Adam update for the fused one,
 separate backward calls for the gradient formed over several caches at
-once, and per-bump and per-streak loops for the synthetic data.
+once, and per-bump and per-streak loops, patch by patch, for the synthetic
+patches and whole sets.
 Suites only ever touch the filesystem through a temporary directory.
 """
 
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import gp_supervisor
-from .data_metrics import DegradeSpec, Patch, degrade, make_clean, psnr, read_pgm, ssim, streak_field, write_pgm
+from .data_metrics import (
+    CHUNK_ELEMENTS,
+    DegradeSpec,
+    Patch,
+    degrade,
+    make_clean,
+    make_eval_pairs,
+    make_unpaired_sets,
+    psnr,
+    read_pgm,
+    ssim,
+    streak_field,
+    write_pgm,
+)
 from .errors import MalformedFile, NotPositiveDefinite, NotSymmetric
 from .gp_supervisor import FeatureBank, GpPosterior, gp_condition, pseudo_loss
 from .kernels import KernelSpec, base_kernel, effective_kernel, gram
@@ -756,11 +771,41 @@ _STREAK_CASES = (
 )
 
 
+def loop_degraded_pixels(clean: list, spec: DegradeSpec, first_seed: int) -> list:
+    """degrade's pixels for each clean array, patch i's streaks from first_seed + i, through the loops above."""
+    fields = (loop_streak_field(replace(spec, seed=first_seed + i), c.shape) for i, c in enumerate(clean))
+    return [np.clip(c + f, 0.0, 1.0) for c, f in zip(clean, fields)]
+
+
+def loop_set_pixels(n: int, spec: DegradeSpec, seed: int, side: int) -> list:
+    """make_unpaired_sets' clean and weather pixels, then make_eval_pairs' weather and clean, patch by patch."""
+    base = 100003 * seed
+    eval_clean = loop_clean_pixels(base + 3, n, side)
+    return [
+        loop_clean_pixels(base + 1, n, side),
+        loop_degraded_pixels(loop_clean_pixels(base + 2, n, side), spec, base + 1000),
+        loop_degraded_pixels(eval_clean, spec, base + 500000),
+        eval_clean,
+    ]
+
+
+def multi_chunk_n(side: int, spec: DegradeSpec) -> int:
+    """A set size that spans at least 3 chunks of both the bump and the streak stacks and ends in a partial one."""
+    # A clean patch's stack holds up to 6 bumps; a patch without streaks counts as one.
+    per_chunk = [max(1, CHUNK_ELEMENTS // (k * side * side)) for k in (6, max(spec.streak_count, 1))]
+    n = 2 * max(per_chunk) + 1
+    while any(n % rows == 0 for rows in per_chunk):
+        n += 1
+    return n
+
+
 def synthetic_data_mismatches(seed: int) -> int:
-    """Arrays of make_clean and streak_field that differ in any bit from the loops above.
+    """Arrays of the synthetic data that differ in any bit from the loops above.
 
     make_clean runs at sides 32, 16 and 11 and streak_field on every case
-    of _STREAK_CASES, each with seeds drawn from `seed`.
+    of _STREAK_CASES, each with seeds drawn from `seed`.  make_unpaired_sets
+    and make_eval_pairs run on each square case at its side, with one
+    patch and with multi_chunk_n patches.
     """
     bad = 0
     for side in (32, 16, 11):
@@ -771,6 +816,15 @@ def synthetic_data_mismatches(seed: int) -> int:
             spec = DegradeSpec(seed=1000 * seed + j, **fields)
             a, b = streak_field(spec, shape), loop_streak_field(spec, shape)
             bad += a.shape != b.shape or a.tobytes() != b.tobytes()
+        if shape[0] != shape[1]:
+            continue
+        spec = DegradeSpec(**fields)
+        for n in (1, multi_chunk_n(shape[0], spec)):
+            clean, weather = make_unpaired_sets(n, spec, seed, shape[0])
+            pairs = make_eval_pairs(n, spec, seed, shape[0])
+            got = [clean, weather, [w for w, _ in pairs], [c for _, c in pairs]]
+            for patches, want in zip(got, loop_set_pixels(n, spec, seed, shape[0])):
+                bad += len(patches) != n or sum(p.pixels.tobytes() != w.tobytes() for p, w in zip(patches, want))
     return bad
 
 

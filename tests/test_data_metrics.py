@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dgpcyclegan.data_metrics import (
+    CHUNK_ELEMENTS,
     DegradeSpec,
     Patch,
     degrade,
@@ -84,6 +87,34 @@ def test_unpaired_sets_are_disjoint_and_eval_is_paired():
     # unpaired: no clean training patch equals any eval clean patch
     for c_eval in (p for _, p in pairs):
         assert all(not np.array_equal(c_eval.pixels, c.pixels) for c in clean)
+
+
+def test_each_set_is_rows_of_one_stack():
+    clean, weather = make_unpaired_sets(7, DegradeSpec(seed=0), seed=2, side=12)
+    pairs = make_eval_pairs(3, DegradeSpec(seed=0), seed=2, side=12)
+    for patches in (clean, weather, [w for w, _ in pairs], [c for _, c in pairs]):
+        stack = patches[0].pixels.base
+        assert stack.shape == (len(patches), 12, 12)
+        assert all(p.pixels.base is stack for p in patches)
+        assert np.array_equal(np.stack([p.pixels for p in patches]), stack)
+
+
+# Per patch: its Patch and row view (about 230 B) and its bump and streak
+# draws (at most 448 B).
+PATCH_OVERHEAD = 768
+
+
+@pytest.mark.parametrize("n, side", [(400, 16), (200, 32)], ids=["gp_wide", "desk"])
+def test_unpaired_sets_peak_memory_is_the_output_plus_a_few_chunks(n, side):
+    make_unpaired_sets(2, DegradeSpec(), 1, side)  # warm numpy's caches first
+    tracemalloc.start()
+    try:
+        clean, weather = make_unpaired_sets(n, DegradeSpec(), 1, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacks = 2 * n * side * side * 8
+    assert peak <= stacks + 2 * n * PATCH_OVERHEAD + 4 * CHUNK_ELEMENTS * 8
 
 
 # --- psnr --------------------------------------------------------------------

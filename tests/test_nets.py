@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dgpcyclegan.nets import (
     load_checkpoint,
     save_checkpoint,
 )
+from dgpcyclegan.trainer import TrainConfig, init_state
 from dgpcyclegan.verify import ADAM_TOL, PARAM_GRADS_TOL, adam_textbook_error, fd_grad, param_grads_error
 
 
@@ -341,6 +343,20 @@ def test_checkpoint_bytes_equal_a_tobytes_reference_writer(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, nets_by_name, step=7)
     assert path.read_bytes() == reference_checkpoint_bytes(nets_by_name, 7)
+
+
+def test_loading_a_desk_checkpoint_holds_no_second_copy(tmp_path):
+    # The four nets of a default desk run, as its ckpt_1.bin holds them.
+    path = tmp_path / "ckpt_1.bin"
+    save_checkpoint(path, init_state(TrainConfig()).nets, step=400)
+    tracemalloc.start()
+    try:
+        nets, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nets) == 4
+    assert peak <= 1.2 * path.stat().st_size
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
