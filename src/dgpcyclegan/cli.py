@@ -16,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_metrics import SSIM_WINDOW, DegradeSpec, _pixels, make_eval_pairs, make_unpaired_sets, psnr, ssim
+# psnr and ssim are scored through trainer.evaluate; they stay importable
+# here because perfbench's trace wraps them at this module.
+from .data_metrics import SSIM_WINDOW, DegradeSpec, make_eval_pairs, make_unpaired_sets, psnr, ssim  # noqa: F401
 from .errors import ConfigError, DgpError
 from .fileio import atomic_open
 from .kernels import FAMILIES
 from .nets import load_checkpoint
-from .trainer import DeskData, TrainConfig, train_run
-from . import verify as verify_mod
+from .trainer import DeskData, TrainConfig, evaluate, train_run
 
 
 def _parse_bool(v: str) -> bool:
@@ -183,8 +184,8 @@ def _from_keys(cls, values: dict, **given):
 def build_desk_data(rc: RunConfig) -> DeskData:
     side = rc.train.img_side
     clean, weather = make_unpaired_sets(rc.n_train, rc.degrade, rc.data_seed, side)
-    pairs = make_eval_pairs(rc.n_eval, rc.degrade, rc.data_seed, side)
-    return DeskData(clean_train=clean, weather_train=weather, eval_pairs=pairs)
+    eval_weather, eval_clean = make_eval_pairs(rc.n_eval, rc.degrade, rc.data_seed, side)
+    return DeskData(clean_train=clean, weather_train=weather, eval_weather=eval_weather, eval_clean=eval_clean)
 
 
 def final_metrics(history) -> tuple:
@@ -207,6 +208,9 @@ def run_experiment(rc: RunConfig, out_dir=None):
 
 
 def cmd_verify(args) -> int:
+    # Imported here: train and eval never load the oracle module.
+    from . import verify as verify_mod
+
     names = [args.suite] if args.suite else None
     try:
         results = verify_mod.run_suites(names)
@@ -259,20 +263,21 @@ def cmd_eval(args) -> int:
     if "gen_wc" not in nets:
         raise ConfigError(f"checkpoint {args.ckpt} has no weather-to-clean generator")
     gen = nets["gen_wc"]
-    pairs = make_eval_pairs(rc.n_eval, rc.degrade, rc.data_seed, rc.train.img_side)
-    # The same stacked restore as trainer.evaluate, so scores match metrics.csv exactly.
-    restored = gen.restore(_pixels([weather for weather, _ in pairs]))
-    rows = [(i, psnr(r, clean), ssim(r, clean)) for i, (r, (_, clean)) in enumerate(zip(restored, pairs))]
-    mean_p = float(np.mean([r[1] for r in rows]))
-    mean_s = float(np.mean([r[2] for r in rows]))
+    side = rc.train.img_side
+    if gen.widths[0] != side * side:
+        raise ConfigError(f"img_side = {side} gives {side * side} pixels per image, "
+                          f"but checkpoint {args.ckpt} was trained on {gen.widths[0]}")
+    weather, clean = make_eval_pairs(rc.n_eval, rc.degrade, rc.data_seed, side)
+    # trainer.evaluate, the per-epoch scoring, so scores match metrics.csv exactly.
+    psnrs, ssims = evaluate(gen, weather, clean)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with atomic_open(out / "eval.csv", "w", encoding="utf-8") as fh:
             fh.write("pair,psnr,ssim\n")
-            for i, p, s in rows:
+            for i, (p, s) in enumerate(zip(psnrs, ssims)):
                 fh.write(f"{i},{p!r},{s!r}\n")
-    print(f"eval: step {step}, {len(rows)} pairs, psnr {mean_p:.3f} dB, ssim {mean_s:.4f}")
+    print(f"eval: step {step}, {len(psnrs)} pairs, psnr {np.mean(psnrs):.3f} dB, ssim {np.mean(ssims):.4f}")
     return 0
 
 

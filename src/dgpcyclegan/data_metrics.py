@@ -16,11 +16,13 @@ draws of every patch go into one array in that order, the bumps or streaks
 of a chunk of patches into one (term, patch, h, w) stack of at most
 CHUNK_ELEMENTS values (or one patch's, if that is more), summed over its
 first axis (numpy adds those rows one after another, exactly as a
-`field += term` loop does), and each set's patches are the rows of one
-(n, h, w) array.  Clean patches pad their bump rows to six with amplitude
-0, which adds an exact +0.0.  make_clean, streak_field and degrade are the
-one-row case of the same code.  `verify` holds the per-patch loops as the
-reference and checks the two bit for bit.
+`field += term` loop does).  A set is one float64 (n, h, w) array whose
+rows are its patches, range-checked once as a whole; the training sets and
+the evaluation split stay such stacks up to the train step and the scores.
+Clean patches pad their bump rows to six with amplitude 0, which adds an
+exact +0.0.  make_clean, streak_field and degrade are the one-row case of
+the same code, and Patch wraps a single patch.  `verify` holds the
+per-patch loops as the reference and checks the two bit for bit.
 """
 
 from __future__ import annotations
@@ -64,8 +66,14 @@ class Patch:
         self.pixels = np.asarray(self.pixels, dtype=float)
         if self.pixels.ndim != 2:
             raise ShapeMismatch(f"patch must be 2-D, got shape {self.pixels.shape}")
-        if self.pixels.size and (self.pixels.min() < -1e-9 or self.pixels.max() > 1 + 1e-9):
-            raise ValueError("patch pixels must lie in [0, 1]")
+        _in_range(self.pixels)
+
+
+def _in_range(pixels: np.ndarray) -> np.ndarray:
+    """pixels, after checking that every value lies in [0, 1] up to 1e-9; one check for a patch or a whole set."""
+    if pixels.size and (pixels.min() < -1e-9 or pixels.max() > 1 + 1e-9):
+        raise ValueError("patch pixels must lie in [0, 1]")
+    return pixels
 
 
 @dataclass(frozen=True)
@@ -145,23 +153,34 @@ def _add_streaks(fields: np.ndarray, spec: DegradeSpec, seeds) -> np.ndarray:
     # Signed distance to the line through the centre; each streak shifts it
     # by its offset.  Only its square is used.
     along = -st * (np.arange(w, dtype=float) - w / 2.0) + ct * (np.arange(h, dtype=float)[:, None] - h / 2.0)
-    for rows, params in _chunks(draws, spec.streak_count * h * w):
+    # One scratch pair, as large as the largest chunk's stack, serves every chunk.
+    per_patch = spec.streak_count * h * w
+    scratch = np.empty((2, per_patch * min(_chunk_rows(per_patch), len(fields))))
+    for rows, params in _chunks(draws, per_patch):
         offset, factor = params.T[:, :, :, None, None]
         # One (streak, patch, h, w) stack.
-        arg = along - offset
+        shape = (spec.streak_count, len(params), h, w)
+        arg, streaks = (buf[: per_patch * len(params)].reshape(shape) for buf in scratch)
+        np.subtract(along, offset, out=arg)
         np.multiply(arg, arg, out=arg)
         arg /= -(2.0 * sigma * sigma)
         # exp of anything below the cut-off is exactly 0.0, and numpy takes far
         # longer on such arguments than on ordinary ones, so skip them.
-        streaks = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_ZERO_BELOW)
+        streaks.fill(0.0)
+        np.exp(arg, out=streaks, where=arg > _EXP_ZERO_BELOW)
         streaks *= spec.streak_amplitude * factor
         fields[rows] += streaks.sum(axis=0)
     return fields
 
 
+def _chunk_rows(elements_per_row: int) -> int:
+    """Rows per chunk: as many as fit in CHUNK_ELEMENTS, and at least one."""
+    return max(1, CHUNK_ELEMENTS // elements_per_row)
+
+
 def _chunks(draws: np.ndarray, elements_per_row: int):
     """(slice, draws[slice]) over consecutive row ranges whose stacks hold at most CHUNK_ELEMENTS."""
-    step = max(1, CHUNK_ELEMENTS // elements_per_row)
+    step = _chunk_rows(elements_per_row)
     for start in range(0, len(draws), step):
         rows = slice(start, start + step)
         yield rows, draws[rows]
@@ -170,11 +189,6 @@ def _chunks(draws: np.ndarray, elements_per_row: int):
 def _degrade_rows(stack: np.ndarray, spec: DegradeSpec, seeds) -> np.ndarray:
     """clamp(row + streak field, 0, 1) of each row of stack, in place, row i's streaks drawn from seeds[i]."""
     return np.clip(_add_streaks(stack, spec, seeds), 0.0, 1.0, out=stack)
-
-
-def _patches(stack: np.ndarray, domain_tag: str) -> list:
-    """One Patch per row of a (n, h, w) stack; each patch's pixels are a view of its row."""
-    return [Patch(pixels=row, domain_tag=domain_tag) for row in stack]
 
 
 def make_clean(seed: int, n: int, side: int = 32) -> list:
@@ -186,7 +200,7 @@ def make_clean(seed: int, n: int, side: int = 32) -> list:
     bumps are added in draw order, so every pixel is the same double as a
     per-bump `field += bump` loop gives.
     """
-    return _patches(_clean_stack(seed, n, side), "clean")
+    return [Patch(pixels=row, domain_tag="clean") for row in _clean_stack(seed, n, side)]
 
 
 def streak_field(spec: DegradeSpec, shape) -> np.ndarray:
@@ -210,26 +224,28 @@ def degrade(p: Patch, spec: DegradeSpec) -> Patch:
 
 
 def make_unpaired_sets(n_per_domain: int, spec: DegradeSpec, seed: int, side: int = 32):
-    """Unpaired training sets: clean patches and independently degraded ones.
+    """Unpaired training sets as (clean, weather) float64 (n, side, side) stacks.
 
     Weather patch i is degrade(source patch i, spec with seed base + 1000 + i).
+    Each stack is range-checked once, as a Patch is.
     """
     base = _SEED_STRIDE * seed
     clean = _clean_stack(base + 1, n_per_domain, side)
     weather = _degrade_rows(_clean_stack(base + 2, n_per_domain, side), spec,
                             range(base + 1000, base + 1000 + n_per_domain))
-    return _patches(clean, "clean"), _patches(weather, "weather")
+    return _in_range(clean), _in_range(weather)
 
 
 def make_eval_pairs(n: int, spec: DegradeSpec, seed: int, side: int = 32):
-    """Held-out (weather, clean) pairs used only for PSNR/SSIM evaluation.
+    """Held-out pairs for PSNR/SSIM evaluation only, as (weather, clean) float64 (n, side, side) stacks.
 
-    Pair i degrades its clean patch with the spec's seed set to base + 500000 + i.
+    Row i of weather degrades row i of clean with the spec's seed set to
+    base + 500000 + i.  Each stack is range-checked once, as a Patch is.
     """
     base = _SEED_STRIDE * seed
     clean = _clean_stack(base + 3, n, side)
     weather = _degrade_rows(clean.copy(), spec, range(base + 500000, base + 500000 + n))
-    return list(zip(_patches(weather, "weather"), _patches(clean, "clean")))
+    return _in_range(weather), _in_range(clean)
 
 
 # --- metrics ---------------------------------------------------------------

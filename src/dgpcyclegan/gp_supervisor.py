@@ -98,6 +98,8 @@ def bank_build(images, generator, domain: str = "clean", epoch: int = 0) -> Feat
     activations and the taps, and the stages after tap_z run on no bank
     row.  Its taps are bit for bit those of Generator.forward.
     """
+    # A set stack is restacked too.  Reading it in place gives the same taps
+    # but moves perfbench's reference scaling; ROADMAP item 5 drops the copy.
     images = list(images)
     if not images:
         raise EmptyDataset("cannot build a feature bank from zero images")

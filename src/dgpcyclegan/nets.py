@@ -94,9 +94,14 @@ class DenseStack:
         if rng is not None:
             if not isinstance(rng, np.random.Generator):
                 rng = np.random.default_rng(rng)
+            # Glorot-uniform weights drawn straight into params, with
+            # rng.uniform(-lim, lim)'s arithmetic low + (high - low) * u.
             for w_sl, _, fan_in, fan_out in self._slices:
                 lim = np.sqrt(6.0 / (fan_in + fan_out))
-                self.params[w_sl] = rng.uniform(-lim, lim, fan_in * fan_out)
+                w = self.params[w_sl]
+                rng.random(out=w)
+                w *= lim - -lim
+                w += -lim
 
     @property
     def n_stages(self) -> int:

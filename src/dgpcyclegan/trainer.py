@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_metrics import Patch, _pixels, psnr, ssim, write_pgm
+from .data_metrics import _pixels, psnr, ssim, write_pgm
 from .errors import EmptyDataset, NonFiniteGradient, NonFiniteLoss
 from .fileio import atomic_open
 from .gp_supervisor import (
@@ -193,7 +193,7 @@ def build_epoch_banks(weather_images, clean_images, gen_wc: Generator, gen_cw: G
     set; the clean bank stores taps of the clean-to-weather net over the
     clean set, matching the supervised taps of the update loop.
     """
-    if not weather_images or not clean_images:
+    if not len(weather_images) or not len(clean_images):
         raise EmptyDataset("both domains need at least one image")
     bank_w = bank_build(weather_images, gen_wc, domain="weather", epoch=epoch)
     bank_c = bank_build(clean_images, gen_cw, domain="clean", epoch=epoch)
@@ -380,19 +380,21 @@ def _update(state: TrainState, name: str, grads: np.ndarray) -> None:
 
 @dataclass
 class DeskData:
-    """Unpaired training sets plus the held-out paired evaluation split."""
+    """Unpaired training sets plus the held-out paired evaluation split, each an (n, side, side) stack.
 
-    clean_train: list
-    weather_train: list
-    eval_pairs: list  # (weather, clean) tuples
+    Row i of eval_weather is a degradation of row i of eval_clean.
+    """
+
+    clean_train: np.ndarray
+    weather_train: np.ndarray
+    eval_weather: np.ndarray
+    eval_clean: np.ndarray
 
 
-def evaluate(gen_wc: Generator, eval_pairs) -> tuple[float, float]:
-    """Mean restoration PSNR/SSIM of the weather-to-clean net on held-out pairs, restored as one stack."""
-    restored = gen_wc.restore(_pixels([weather for weather, _ in eval_pairs]))
-    psnrs = [psnr(r, clean) for r, (_, clean) in zip(restored, eval_pairs)]
-    ssims = [ssim(r, clean) for r, (_, clean) in zip(restored, eval_pairs)]
-    return float(np.mean(psnrs)), float(np.mean(ssims))
+def evaluate(gen_wc: Generator, weather, clean) -> tuple[list, list]:
+    """Per-pair restoration PSNRs and SSIMs of the weather-to-clean net, the weather stack restored as one."""
+    restored = gen_wc.restore(weather)
+    return [psnr(r, c) for r, c in zip(restored, clean)], [ssim(r, c) for r, c in zip(restored, clean)]
 
 
 def train_run(
@@ -407,7 +409,7 @@ def train_run(
     When out_dir is given, writes metrics.csv, periodic checkpoints and
     input/restored/target sample triptychs.
     """
-    if not data.clean_train or not data.weather_train:
+    if not len(data.clean_train) or not len(data.weather_train):
         raise EmptyDataset("training sets must be non-empty")
     state = init_state(config)
     rng_shuffle = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(5)[4])
@@ -442,18 +444,19 @@ def train_run(
 
         mean_sigma2 = float(np.mean(state.sigma2_log)) if state.sigma2_log else float("nan")
         do_eval = epoch % config.eval_interval == 0 or epoch == config.epochs - 1
-        ep_psnr, ep_ssim = evaluate(state.gen_wc, data.eval_pairs) if (do_eval and data.eval_pairs) else (float("nan"),) * 2
+        ep_psnr = ep_ssim = float("nan")
+        if do_eval and len(data.eval_weather):
+            psnrs, ssims = evaluate(state.gen_wc, data.eval_weather, data.eval_clean)
+            ep_psnr, ep_ssim = float(np.mean(psnrs)), float(np.mean(ssims))
         means = dict(zip(LOSS_FIELDS, comp_sums / len(batches)))
         history.append(EpochStats(**means, epoch=epoch, lr=lr, mean_sigma2=mean_sigma2, psnr=ep_psnr, ssim=ep_ssim))
 
         if out is not None:
-            samples = data.eval_pairs[:sample_count] if sample_count > 0 else []
-            if do_eval and samples:
-                weather = _pixels([w for w, _ in samples])
-                clean = _pixels([c for _, c in samples])
+            if do_eval and sample_count > 0 and len(data.eval_weather):
+                weather, clean = data.eval_weather[:sample_count], data.eval_clean[:sample_count]
                 strips = np.concatenate([weather, state.gen_wc.restore(weather), clean], axis=2)
                 for i, strip in enumerate(strips):
-                    write_pgm(out / f"sample_{epoch}_{i}.pgm", Patch(strip, "clean"))
+                    write_pgm(out / f"sample_{epoch}_{i}.pgm", strip)
             if (epoch + 1) % checkpoint_interval == 0 or epoch == config.epochs - 1:
                 save_checkpoint(out / f"ckpt_{epoch}.bin", state.nets, step=state.step)
 

@@ -820,11 +820,9 @@ def synthetic_data_mismatches(seed: int) -> int:
             continue
         spec = DegradeSpec(**fields)
         for n in (1, multi_chunk_n(shape[0], spec)):
-            clean, weather = make_unpaired_sets(n, spec, seed, shape[0])
-            pairs = make_eval_pairs(n, spec, seed, shape[0])
-            got = [clean, weather, [w for w, _ in pairs], [c for _, c in pairs]]
-            for patches, want in zip(got, loop_set_pixels(n, spec, seed, shape[0])):
-                bad += len(patches) != n or sum(p.pixels.tobytes() != w.tobytes() for p, w in zip(patches, want))
+            got = [*make_unpaired_sets(n, spec, seed, shape[0]), *make_eval_pairs(n, spec, seed, shape[0])]
+            for stack, want in zip(got, loop_set_pixels(n, spec, seed, shape[0])):
+                bad += stack.shape != (n, *shape) or sum(row.tobytes() != w.tobytes() for row, w in zip(stack, want))
     return bad
 
 

@@ -314,6 +314,26 @@ def test_eval_on_checkpoint(fast_config, tmp_path, capsys):
             float(field)
 
 
+def test_eval_refuses_a_checkpoint_of_another_image_size(fast_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(fast_config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    other = tmp_path / "other.cfg"
+    other.write_text(FAST_KEYS.replace("img_side = 16", "img_side = 12"))
+    assert main(["eval", "--config", str(other), "--ckpt", str(out / "ckpt_1.bin"), "--out", str(tmp_path / "ev")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: img_side = 12") and "144" in err and "256" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_train_and_eval_do_not_load_the_oracle_module():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, dgpcyclegan.cli; print('dgpcyclegan.verify' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 # --- ablate command ----------------------------------------------------------
 
 

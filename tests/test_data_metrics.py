@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dgpcyclegan import data_metrics
 from dgpcyclegan.data_metrics import (
     CHUNK_ELEMENTS,
     DegradeSpec,
@@ -76,32 +77,43 @@ def test_degrade_deterministic():
 def test_unpaired_sets_are_disjoint_and_eval_is_paired():
     clean, weather = make_unpaired_sets(10, DegradeSpec(seed=0), seed=1)
     assert len(clean) == len(weather) == 10
-    assert all(p.domain_tag == "clean" for p in clean)
-    assert all(p.domain_tag == "weather" for p in weather)
-    pairs = make_eval_pairs(4, DegradeSpec(seed=0), seed=1)
-    assert len(pairs) == 4
-    for w, c in pairs:
+    eval_weather, eval_clean = make_eval_pairs(4, DegradeSpec(seed=0), seed=1)
+    assert len(eval_weather) == len(eval_clean) == 4
+    for w, c in zip(eval_weather, eval_clean):
         # paired: the weather image is a degradation of exactly this clean one
-        assert np.all(w.pixels + 1e-12 >= c.pixels * 0 + w.pixels.min())
+        assert np.all(w + 1e-12 >= c * 0 + w.min())
         assert psnr(w, c) < 99.0
     # unpaired: no clean training patch equals any eval clean patch
-    for c_eval in (p for _, p in pairs):
-        assert all(not np.array_equal(c_eval.pixels, c.pixels) for c in clean)
+    for c_eval in eval_clean:
+        assert all(not np.array_equal(c_eval, c) for c in clean)
 
 
 def test_each_set_is_rows_of_one_stack():
-    clean, weather = make_unpaired_sets(7, DegradeSpec(seed=0), seed=2, side=12)
-    pairs = make_eval_pairs(3, DegradeSpec(seed=0), seed=2, side=12)
-    for patches in (clean, weather, [w for w, _ in pairs], [c for _, c in pairs]):
-        stack = patches[0].pixels.base
-        assert stack.shape == (len(patches), 12, 12)
-        assert all(p.pixels.base is stack for p in patches)
-        assert np.array_equal(np.stack([p.pixels for p in patches]), stack)
+    sets = (*make_unpaired_sets(7, DegradeSpec(seed=0), seed=2, side=12),
+            *make_eval_pairs(3, DegradeSpec(seed=0), seed=2, side=12))
+    for stack, n in zip(sets, (7, 7, 3, 3)):
+        assert type(stack) is np.ndarray and stack.dtype == np.float64
+        assert stack.shape == (n, 12, 12) and stack.flags.c_contiguous
 
 
-# Per patch: its Patch and row view (about 230 B) and its bump and streak
-# draws (at most 448 B).
-PATCH_OVERHEAD = 768
+@pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
+@pytest.mark.parametrize("build", [make_unpaired_sets, make_eval_pairs])
+def test_set_with_a_pixel_out_of_range_is_refused(monkeypatch, build, row):
+    # The clean stacks are not clipped, so a bad bump sum reaches the range check.
+    real = data_metrics._clean_stack
+
+    def one_bad_pixel(seed, n, side):
+        stack = real(seed, n, side)
+        stack[row, -1, -1] = 1.5
+        return stack
+
+    monkeypatch.setattr(data_metrics, "_clean_stack", one_bad_pixel)
+    with pytest.raises(ValueError, match=r"patch pixels must lie in \[0, 1\]"):
+        build(5, DegradeSpec(seed=0), 1, 12)
+
+
+# Per patch: its bump and streak draws (at most 448 B).
+PATCH_OVERHEAD = 448
 
 
 @pytest.mark.parametrize("n, side", [(400, 16), (200, 32)], ids=["gp_wide", "desk"])

@@ -23,6 +23,24 @@ def tiny_gen(seed=0):
     return Generator(16, hidden=(6, 4, 4, 6), tap_s=2, tap_z=3, rng=np.random.default_rng(seed))
 
 
+def uniform_reference_params(widths, seed) -> np.ndarray:
+    """Glorot-uniform weights from rng.uniform(-lim, lim, size), layer by layer, and zero biases."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        parts += [rng.uniform(-lim, lim, fan_in * fan_out), np.zeros(fan_out)]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_init_weights_are_rng_uniform_draws_bit_for_bit(seed):
+    gen = Generator(64, hidden=(12, 6, 6, 12), tap_s=2, tap_z=3, rng=seed)
+    disc = Discriminator(64, hidden=(8, 4), rng=np.random.default_rng(seed))
+    assert gen.params.tobytes() == uniform_reference_params((64, 12, 6, 6, 12, 64), seed).tobytes()
+    assert disc.params.tobytes() == uniform_reference_params((64, 8, 4, 1), seed).tobytes()
+
+
 # --- generator forward -------------------------------------------------------
 
 
