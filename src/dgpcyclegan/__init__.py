@@ -6,7 +6,7 @@ data plus metrics (data_metrics), and the command-line front end (cli,
 verify).
 """
 
-from .data_metrics import DegradeSpec, Patch, degrade, make_clean, psnr, read_pgm, ssim, write_pgm
+from .data_metrics import DegradeSpec, psnr, read_pgm, ssim, write_pgm
 from .errors import DgpError
 from .gp_supervisor import (
     FeatureBank,
@@ -44,21 +44,18 @@ __all__ = [
     "GpPosterior",
     "KernelSpec",
     "LossBreakdown",
-    "Patch",
     "TrainConfig",
     "adam_step",
     "bank_build",
     "base_kernel",
     "build_epoch_banks",
     "cholesky",
-    "degrade",
     "effective_kernel",
     "gp_condition",
     "gram",
     "knn_select",
     "load_checkpoint",
     "lr_at",
-    "make_clean",
     "psnr",
     "pseudo_loss",
     "pseudo_loss_grad",

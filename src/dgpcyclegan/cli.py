@@ -243,7 +243,7 @@ def _load_run_config(args, need_out: bool, **extra) -> RunConfig:
     if getattr(args, "dgp", None) is not None:
         overrides["dgp"] = _parse_bool(args.dgp)
     rc = build_run_config(raw, {**overrides, **extra})
-    if need_out and rc.out_dir is None:
+    if need_out and not rc.out_dir:  # an empty `out_dir =` line is no directory either
         raise ConfigError("missing config key: out_dir (set it in the file or pass --out)")
     return rc
 
@@ -298,6 +298,8 @@ def cmd_ablate(args) -> int:
         key, csv_name, default = AXES[axis]
         text = grid_text[axis]
         values = tuple(_convert(key, part) for part in text.split(",") if part.strip()) if text else default
+        if not values:
+            raise ConfigError(f"the {key} grid {text!r} holds no values")
         sweeps.append((key, csv_name, [(v, _load_run_config(args, True, **{key: v})) for v in values]))
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,9 +20,8 @@ first axis (numpy adds those rows one after another, exactly as a
 rows are its patches, range-checked once as a whole; the training sets and
 the evaluation split stay such stacks up to the train step and the scores.
 Clean patches pad their bump rows to six with amplitude 0, which adds an
-exact +0.0.  make_clean, streak_field and degrade are the one-row case of
-the same code, and Patch wraps a single patch.  `verify` holds the
-per-patch loops as the reference and checks the two bit for bit.
+exact +0.0.  streak_field is the one-row case of the same code.  `verify`
+holds the per-patch loops as the reference and checks the two bit for bit.
 """
 
 from __future__ import annotations
@@ -55,22 +54,8 @@ _MAX_BUMPS = 6
 CHUNK_ELEMENTS = 32768
 
 
-@dataclass
-class Patch:
-    """One grayscale patch with pixel values in [0, 1]."""
-
-    pixels: np.ndarray
-    domain_tag: str = "clean"
-
-    def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels, dtype=float)
-        if self.pixels.ndim != 2:
-            raise ShapeMismatch(f"patch must be 2-D, got shape {self.pixels.shape}")
-        _in_range(self.pixels)
-
-
 def _in_range(pixels: np.ndarray) -> np.ndarray:
-    """pixels, after checking that every value lies in [0, 1] up to 1e-9; one check for a patch or a whole set."""
+    """pixels, after checking that every value lies in [0, 1] up to 1e-9; one check for a whole set."""
     if pixels.size and (pixels.min() < -1e-9 or pixels.max() > 1 + 1e-9):
         raise ValueError("patch pixels must lie in [0, 1]")
     return pixels
@@ -88,16 +73,21 @@ class DegradeSpec:
 
 
 def _pixels(img) -> np.ndarray:
-    """Pixel array of a Patch or an array; a list or tuple of them is stacked on a new first axis."""
-    if isinstance(img, Patch):
-        return img.pixels
+    """Float pixel array of an array; a list or tuple of arrays is stacked on a new first axis."""
     if isinstance(img, (list, tuple)):
         return np.stack([_pixels(i) for i in img])
     return np.asarray(img, dtype=float)
 
 
 def _clean_stack(seed: int, n: int, side: int) -> np.ndarray:
-    """The pixels of make_clean(seed, n, side) as one (n, side, side) array."""
+    """n smooth random fields, 3-6 Gaussian bumps each, min-max normalized to [0, 1], as one (n, side, side) array.
+
+    Per patch the generator draws the bump count with rng.integers(3, 7) and
+    then one uniform row (cx, cy, sig, amp) per bump, in that order.  Bump i
+    is amp_i * exp(-((x - cx_i)^2 + (y - cy_i)^2) / (2 sig_i^2)), and the
+    bumps are added in draw order, so every pixel is the same double as a
+    per-bump `field += bump` loop gives.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
@@ -191,18 +181,6 @@ def _degrade_rows(stack: np.ndarray, spec: DegradeSpec, seeds) -> np.ndarray:
     return np.clip(_add_streaks(stack, spec, seeds), 0.0, 1.0, out=stack)
 
 
-def make_clean(seed: int, n: int, side: int = 32) -> list:
-    """Smooth random fields: 3-6 Gaussian bumps, min-max normalized to [0, 1].
-
-    Per patch the generator draws the bump count with rng.integers(3, 7) and
-    then one uniform row (cx, cy, sig, amp) per bump, in that order.  Bump i
-    is amp_i * exp(-((x - cx_i)^2 + (y - cy_i)^2) / (2 sig_i^2)), and the
-    bumps are added in draw order, so every pixel is the same double as a
-    per-bump `field += bump` loop gives.
-    """
-    return [Patch(pixels=row, domain_tag="clean") for row in _clean_stack(seed, n, side)]
-
-
 def streak_field(spec: DegradeSpec, shape) -> np.ndarray:
     """Non-negative additive streak layer for the given patch shape.
 
@@ -218,16 +196,11 @@ def streak_field(spec: DegradeSpec, shape) -> np.ndarray:
     return _add_streaks(np.zeros((1, *shape)), spec, [spec.seed])[0]
 
 
-def degrade(p: Patch, spec: DegradeSpec) -> Patch:
-    """clamp(clean + streak_field, 0, 1), deterministic per spec.seed."""
-    return Patch(pixels=_degrade_rows(_pixels(p)[None].copy(), spec, [spec.seed])[0], domain_tag="weather")
-
-
 def make_unpaired_sets(n_per_domain: int, spec: DegradeSpec, seed: int, side: int = 32):
     """Unpaired training sets as (clean, weather) float64 (n, side, side) stacks.
 
-    Weather patch i is degrade(source patch i, spec with seed base + 1000 + i).
-    Each stack is range-checked once, as a Patch is.
+    Weather row i is clamp(source row i + streak_field(spec with seed
+    base + 1000 + i), 0, 1).  Each stack is range-checked once.
     """
     base = _SEED_STRIDE * seed
     clean = _clean_stack(base + 1, n_per_domain, side)
@@ -240,7 +213,7 @@ def make_eval_pairs(n: int, spec: DegradeSpec, seed: int, side: int = 32):
     """Held-out pairs for PSNR/SSIM evaluation only, as (weather, clean) float64 (n, side, side) stacks.
 
     Row i of weather degrades row i of clean with the spec's seed set to
-    base + 500000 + i.  Each stack is range-checked once, as a Patch is.
+    base + 500000 + i.  Each stack is range-checked once.
     """
     base = _SEED_STRIDE * seed
     clean = _clean_stack(base + 3, n, side)
@@ -295,17 +268,19 @@ def ssim(a, b) -> float:
 # --- PGM I/O ----------------------------------------------------------------
 
 
-def write_pgm(path, p: Patch) -> None:
-    """Binary 8-bit PGM (P5) with header tokens P5, width, height, 255."""
-    pix = _pixels(p)
+def write_pgm(path, pixels) -> None:
+    """Binary 8-bit PGM (P5) of a 2-D array, with header tokens P5, width, height, 255."""
+    pix = _pixels(pixels)
+    if pix.ndim != 2:
+        raise ShapeMismatch(f"a PGM image must be 2-D, got shape {pix.shape}")
     data = np.round(np.clip(pix, 0.0, 1.0) * 255.0).astype(np.uint8)
     with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{pix.shape[1]} {pix.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
 
-def read_pgm(path, domain_tag: str = "clean") -> Patch:
-    """Read a binary PGM written by write_pgm (or any 8-bit P5 file)."""
+def read_pgm(path) -> np.ndarray:
+    """Pixels in [0, 1] of a binary PGM written by write_pgm (or any 8-bit P5 file), as a float64 (h, w) array."""
     with open(path, "rb") as fh:
         raw = fh.read()
 
@@ -333,10 +308,12 @@ def read_pgm(path, domain_tag: str = "clean") -> Patch:
         width, height, maxval = (int(t) for t in tokens[1:])
     except ValueError as exc:
         raise MalformedFile(f"{path}: bad header tokens") from exc
+    if width < 1 or height < 1:
+        raise MalformedFile(f"{path}: image size {width}x{height} is not positive")
     if maxval != 255:
         raise MalformedFile(f"{path}: only 8-bit PGM supported, maxval {maxval}")
     if len(raw) - pos < width * height:
         raise MalformedFile(f"{path}: truncated pixel data")
     pix = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
-    return Patch(pixels=pix.reshape(height, width) / 255.0, domain_tag=domain_tag)
+    return pix.reshape(height, width) / 255.0
 

@@ -24,9 +24,8 @@ from . import gp_supervisor
 from .data_metrics import (
     CHUNK_ELEMENTS,
     DegradeSpec,
-    Patch,
-    degrade,
-    make_clean,
+    _clean_stack,
+    _degrade_rows,
     make_eval_pairs,
     make_unpaired_sets,
     psnr,
@@ -122,7 +121,7 @@ def linalg_suite() -> list:
 
     with _Check(out, "identity factorization") as check:
         f = cholesky(np.eye(2))
-        check.done(np.allclose(f.lower, np.eye(2)) and f.jitter_used == 0.0, "L == I, jitter 0")
+        check.done(np.array_equal(f.lower, np.eye(2)) and f.jitter_used == 0.0, "L == I exactly, jitter 0")
 
     with _Check(out, "hand 2x2 factorization") as check:
         f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
@@ -226,7 +225,8 @@ def kernels_suite() -> list:
     x = np.array([1.0, 0.0])
     y = np.array([0.0, 1.0])  # squared distance exactly 2
     with _Check(out, "SE zero distance") as check:
-        check.done(base_kernel(spec1, 0, x, x) == 1.0, "k(x,x) == 1")
+        wide = KernelSpec.homogeneous(depth=1, beta=1.5)
+        check.done(base_kernel(spec1, 0, x, x) == 1.0 and base_kernel(wide, 0, x, x) == 2.25, "k(x,x) == beta^2 (1, 2.25)")
     with _Check(out, "SE at squared distance 2") as check:
         check.done(abs(base_kernel(spec1, 0, x, y) - np.exp(-1.0)) < 1e-15, "k == exp(-1)")
 
@@ -272,8 +272,7 @@ def kernels_suite() -> list:
             d = int(rng.integers(1, 65))
             rows = rng.standard_normal((n, d))
             k = gram(spec4, rows, rows)
-            if not np.array_equal(k, k.T):
-                ok = False
+            ok = ok and np.array_equal(k, k.T)
             f = cholesky(k + spec4.noise_var * np.eye(n))
             max_jitter = max(max_jitter, f.jitter_used)
         check.done(ok and max_jitter == 0.0, f"max jitter {max_jitter:g}")
@@ -430,7 +429,8 @@ def joint_gram_error(seed: int) -> float:
 def gp_rows_error(seed: int) -> float:
     """Worst relative gap between stacked GP calls on B = 1..4 query rows and B single-query calls.
 
-    Any kNN id mismatch counts as 1; the posteriors, losses and both gradients are compared.
+    Any kNN id mismatch counts as 1 and a stacked output of the wrong shape as
+    inf; the posteriors, losses and both gradients are compared.
     """
     rng = np.random.default_rng(4000 + seed)
     spec = KernelSpec.homogeneous(depth=3, beta=1.5, gamma=1.5)
@@ -447,6 +447,8 @@ def gp_rows_error(seed: int) -> float:
     for b in range(1, 5):
         rows = [rng.standard_normal((b, d)) for d in (5, 4, 4)]
         ids, stacked = run(*rows)
+        if [ids.shape, *(np.shape(a) for a in stacked)] != [(b, 7), (b, 4), (b,), (b,), (b, 4), (b, 5)]:
+            return float("inf")
         for i in range(b):
             ids_i, single = run(*(r[i] for r in rows))
             if not np.array_equal(ids[i], ids_i):
@@ -463,11 +465,7 @@ def grads_suite() -> list:
         worst = 0.0
         for _ in range(50):
             d = int(rng.integers(1, 9))
-            post = GpPosterior(
-                pseudo_label=rng.standard_normal(d),
-                variance=float(rng.uniform(0.05, 3.0)),
-                neighbor_ids=np.arange(1),
-            )
+            post = GpPosterior(rng.standard_normal(d), float(rng.uniform(0.05, 3.0)), np.arange(1))
             z = rng.standard_normal(d)
             analytic = gp_supervisor.pseudo_loss_grad(post, z)
             numeric = fd_grad(lambda v: pseudo_loss(post, v), z.copy())
@@ -476,10 +474,8 @@ def grads_suite() -> list:
 
     with _Check(out, "generator backward vs FD") as check:
         gen = Generator(9, hidden=(5, 4, 4, 5), tap_s=2, tap_z=3, rng=rng)
-        x = rng.standard_normal(9)
-        wy = rng.standard_normal(9)
-        ws = rng.standard_normal(4)
-        wz = rng.standard_normal(4)
+        x, wy = rng.standard_normal((2, 9))
+        ws, wz = rng.standard_normal((2, 4))
 
         def gen_scalar(params):
             gen.params = params
@@ -532,18 +528,20 @@ def grads_suite() -> list:
         check.done(err <= PARAM_GRADS_TOL, f"worst rel err {err:.2e} (bound {PARAM_GRADS_TOL:g}; generator and discriminator)")
 
     with _Check(out, "query-gradient toggle vs FD (se, lin, sc; depth 1-3)") as check:
-        bank = FeatureBank("clean", s=rng.standard_normal((6, 4)) * 0.7, z=rng.standard_normal((6, 3)))
-        q = rng.standard_normal(4) * 0.7
-        z_pred = rng.standard_normal(3)
-        ids = np.arange(6)
         rel = 0.0
-        for family, depth in ((f, d) for f in ("se", "lin", "sc") for d in (1, 2, 3)):
-            spec = KernelSpec.heterogeneous(family, depth=depth, gamma=1.5)
-            post = gp_condition(spec, bank, ids, q)
-            analytic = gp_supervisor.pseudo_loss_query_grad(spec, bank, post, q, z_pred)
-            numeric = fd_grad(lambda qv: pseudo_loss(gp_condition(spec, bank, ids, qv), z_pred), q.copy())
-            rel = max(rel, _rel(analytic, numeric))
-        check.done(rel < 1e-5, f"worst rel err {rel:.2e}")
+        # Two banks: inputs scaled by 0.7 at gamma 1.5, and by 0.6 at gamma 1.
+        for draw, scale, gamma in ((rng, 0.7, 1.5), (np.random.default_rng(42), 0.6, 1.0)):
+            bank = FeatureBank("clean", s=draw.standard_normal((6, 4)) * scale, z=draw.standard_normal((6, 3)))
+            q = draw.standard_normal(4) * scale
+            z_pred = draw.standard_normal(3)
+            ids = np.arange(6)
+            for family, depth in ((f, d) for f in ("se", "lin", "sc") for d in (1, 2, 3)):
+                spec = KernelSpec.heterogeneous(family, depth=depth, gamma=gamma)
+                post = gp_condition(spec, bank, ids, q)
+                analytic = gp_supervisor.pseudo_loss_query_grad(spec, bank, post, q, z_pred)
+                numeric = fd_grad(lambda qv: pseudo_loss(gp_condition(spec, bank, ids, qv), z_pred), q.copy())
+                rel = max(rel, _rel(analytic, numeric))
+        check.done(rel < 1e-5, f"worst rel err {rel:.2e} (gamma 1.5 and 1)")
     return out
 
 
@@ -599,7 +597,7 @@ def net_rows_error(seed: int) -> float:
 
     Outputs, taps, scores and input gradients must match row for row, with
     per-row output and tap gradients injected; parameter gradients must
-    match the sum of the per-row ones.
+    match the sum of the per-row ones.  A 3-row output of the wrong shape gives inf.
     """
     rng = np.random.default_rng(2000 + seed)
     gen = Generator(16, hidden=(6, 4, 4, 6), tap_s=2, tap_z=3, rng=rng)
@@ -616,6 +614,8 @@ def net_rows_error(seed: int) -> float:
         return (y, s, z, gx_gen, score, gx_disc), (pg_gen, pg_disc)
 
     outs, params = run(x, *upstream)
+    if [o.shape for o in outs] != [(3, 4, 4), (3, 4), (3, 4), (3, 4, 4), (3,), (3, 4, 4)]:
+        return float("inf")
     singles = [run(x[i], *(u[i] for u in upstream)) for i in range(3)]
     worst = max(_rel(out[i], one[0][k]) for i, one in enumerate(singles) for k, out in enumerate(outs))
     return max(worst, *(_rel(p, sum(one[1][k] for one in singles)) for k, p in enumerate(params)))
@@ -723,7 +723,7 @@ def param_grads_error(seed: int) -> float:
 
 
 def loop_clean_pixels(seed: int, n: int, side: int) -> list:
-    """make_clean's pixels written as one `field += bump` step per bump."""
+    """_clean_stack's rows written as one `field += bump` step per bump."""
     rng = np.random.default_rng(seed)
     ys, xs = np.mgrid[0:side, 0:side].astype(float)
     out = []
@@ -772,7 +772,7 @@ _STREAK_CASES = (
 
 
 def loop_degraded_pixels(clean: list, spec: DegradeSpec, first_seed: int) -> list:
-    """degrade's pixels for each clean array, patch i's streaks from first_seed + i, through the loops above."""
+    """clamp(clean + streak field, 0, 1) of each clean array, patch i's streaks from first_seed + i, through the loops above."""
     fields = (loop_streak_field(replace(spec, seed=first_seed + i), c.shape) for i, c in enumerate(clean))
     return [np.clip(c + f, 0.0, 1.0) for c, f in zip(clean, fields)]
 
@@ -802,15 +802,12 @@ def multi_chunk_n(side: int, spec: DegradeSpec) -> int:
 def synthetic_data_mismatches(seed: int) -> int:
     """Arrays of the synthetic data that differ in any bit from the loops above.
 
-    make_clean runs at sides 32, 16 and 11 and streak_field on every case
-    of _STREAK_CASES, each with seeds drawn from `seed`.  make_unpaired_sets
-    and make_eval_pairs run on each square case at its side, with one
-    patch and with multi_chunk_n patches.
+    streak_field runs on every case of _STREAK_CASES, each with seeds drawn
+    from `seed`.  make_unpaired_sets and make_eval_pairs run on each square
+    case at its side (32, 16 and 11), with one patch and with multi_chunk_n
+    patches.
     """
     bad = 0
-    for side in (32, 16, 11):
-        got = [p.pixels for p in make_clean(seed, 4, side)]
-        bad += sum(a.tobytes() != b.tobytes() for a, b in zip(got, loop_clean_pixels(seed, 4, side)))
     for shape, fields in _STREAK_CASES:
         for j in range(3):
             spec = DegradeSpec(seed=1000 * seed + j, **fields)
@@ -838,7 +835,9 @@ def metrics_suite() -> list:
         ok = ok and abs(psnr(np.zeros((8, 8)), np.ones((8, 8)))) < 1e-12
         u, v = rng.uniform(0, 1, (2, 12, 12))
         ok = ok and psnr(u, v) == psnr(v, u)
-        check.done(ok, "cap, 20 dB, 0 dB, symmetry")
+        noisier = [psnr(u, u + amp) for amp in (0.01, 0.02, 0.05, 0.1, 0.2)]
+        ok = ok and all(x > y for x, y in zip(noisier, noisier[1:]))
+        check.done(ok, "cap, 20 dB, 0 dB, symmetry, falls with noise")
 
     with _Check(out, "ssim unit cases") as check:
         img = rng.uniform(0, 1, (32, 32))
@@ -846,36 +845,37 @@ def metrics_suite() -> list:
         c1 = np.full((16, 16), 0.2)
         c2 = np.full((16, 16), 0.8)
         const = ssim(c1, c2)
+        # Zero variance: (2 mu1 mu2 + C1) / (mu1^2 + mu2^2 + C1), C1 = 1e-4.
+        ok = ok and abs(const - (2 * 0.2 * 0.8 + 1e-4) / (0.2 ** 2 + 0.8 ** 2 + 1e-4)) < 1e-12
         ok = ok and abs(const - 0.4702) < 1e-3
         other = rng.uniform(0, 1, (32, 32))
-        ok = ok and abs(ssim(img, other) - ssim(other, img)) < 1e-12
+        ok = ok and ssim(img, other) == ssim(other, img)
         ok = ok and -1.0 <= ssim(img, other) <= 1.0
         check.done(ok, f"self 1.0, constant pair {const:.4f}")
 
     with _Check(out, "pgm round trip and truncation") as check, tempfile.TemporaryDirectory() as tmp:
-        p = make_clean(7, 1)[0]
+        p = _clean_stack(7, 1, 32)[0]
         path = Path(tmp) / "t.pgm"
         write_pgm(path, p)
         back = read_pgm(path)
-        ok = float(np.max(np.abs(back.pixels - p.pixels))) <= 1.0 / 255.0
+        ok = back.shape == p.shape and float(np.max(np.abs(back - p))) <= 1.0 / 255.0
         path.write_bytes(path.read_bytes()[:40])
         try:
             read_pgm(path)
             ok = False
         except MalformedFile:
             pass
-        check.done(ok, "max error <= 1/255")
+        check.done(ok, "shape kept, max error <= 1/255")
 
     with _Check(out, "degradation additivity") as check:
-        p = make_clean(11, 1)[0]
-        scaled = Patch(p.pixels * 0.4)
+        scaled = _clean_stack(11, 1, 32) * 0.4
         spec = DegradeSpec(streak_count=4, streak_amplitude=0.2, seed=5)
-        field = streak_field(spec, scaled.pixels.shape)
-        degraded = degrade(scaled, spec)
+        field = streak_field(spec, scaled.shape[1:])
+        degraded = _degrade_rows(scaled.copy(), spec, [spec.seed])
         ok = bool(np.all(field >= 0.0))
-        ok = ok and np.allclose(degraded.pixels - scaled.pixels, field, atol=1e-12)
-        ident = degrade(scaled, DegradeSpec(streak_count=4, streak_amplitude=0.0, seed=5))
-        ok = ok and bool(np.all(ident.pixels == scaled.pixels))
+        ok = ok and np.allclose(degraded - scaled, field, atol=1e-12)
+        ident = _degrade_rows(scaled.copy(), replace(spec, streak_amplitude=0.0), [spec.seed])
+        ok = ok and bool(np.all(ident == scaled))
         check.done(ok, "field >= 0, amplitude 0 identity")
 
     with _Check(out, "synthetic data vs per-bump and per-streak loops (exact)") as check:

@@ -176,9 +176,18 @@ def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
 # --- train command -----------------------------------------------------------
 
 
-def test_train_missing_out_dir(fast_config, capsys):
-    assert main(["train", "--config", str(fast_config)]) == 2
-    assert "out_dir" in capsys.readouterr().err
+def test_train_missing_out_dir(fast_config, tmp_path, capsys, monkeypatch):
+    # No out_dir key, and the README defaults block's empty `out_dir =` line:
+    # both are refused, and nothing is written to the working directory.
+    empty = tmp_path / "empty_out.cfg"
+    empty.write_text(FAST_KEYS + "out_dir =\n")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for config in (fast_config, empty):
+        assert main(["train", "--config", str(config)]) == 2
+        assert "out_dir" in capsys.readouterr().err
+    assert not list(cwd.iterdir())
 
 
 def test_train_missing_config_file(tmp_path, capsys):
@@ -374,8 +383,9 @@ def test_ablate_single_point_matches_train(fast_config, tmp_path):
         (["--axis", "lambda", "--lambdas=-1"], "lambda_p"),
         (["--axis", "neighbors", "--neighbors-grid", "x"], "n_neighbors"),
         (["--layers", "1", "--neighbors-grid", "4", "--lambdas", "0.03,nan"], "lambda_p"),
+        (["--axis", "L", "--layers", ","], "gp_depth"),
     ],
-    ids=["layers-0", "lambdas-negative", "neighbors-not-int", "all-axes-lambdas-nan"],
+    ids=["layers-0", "lambdas-negative", "neighbors-not-int", "all-axes-lambdas-nan", "layers-no-points"],
 )
 def test_ablate_refuses_unusable_grid_value(fast_config, tmp_path, capsys, flags, key):
     out = tmp_path / "abl"

@@ -7,9 +7,7 @@ from dgpcyclegan import data_metrics
 from dgpcyclegan.data_metrics import (
     CHUNK_ELEMENTS,
     DegradeSpec,
-    Patch,
-    degrade,
-    make_clean,
+    _clean_stack,
     make_eval_pairs,
     make_unpaired_sets,
     psnr,
@@ -24,54 +22,11 @@ from dgpcyclegan.errors import MalformedFile, ShapeMismatch, TooSmall
 # --- synthetic data ----------------------------------------------------------
 
 
-def test_make_clean_deterministic():
-    a = make_clean(5, 3)
-    b = make_clean(5, 3)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.pixels, pb.pixels)
-
-
-def test_make_clean_count_range_and_tag():
-    patches = make_clean(9, 200)
-    assert len(patches) == 200
-    for p in patches[:10]:
-        assert p.pixels.shape == (32, 32)
-        assert p.domain_tag == "clean"
-        assert p.pixels.min() >= 0.0 and p.pixels.max() <= 1.0
-
-
-def test_degrade_amplitude_zero_is_identity():
-    p = make_clean(1, 1)[0]
-    out = degrade(p, DegradeSpec(streak_amplitude=0.0, seed=3))
-    assert np.array_equal(out.pixels, p.pixels)
-    assert out.domain_tag == "weather"
-
-
 @pytest.mark.parametrize("count", [0, -3])
 def test_streak_field_without_streaks_is_zero(count):
     field = streak_field(DegradeSpec(streak_count=count, seed=4), (12, 14))
     assert field.shape == (12, 14)
     assert not field.any()
-
-
-def test_degrade_additive_below_clamp():
-    # Scale the clean patch down so clean + streaks never clips; then the
-    # degradation is exactly the additive streak field.
-    p = Patch(make_clean(2, 1)[0].pixels * 0.3)
-    spec = DegradeSpec(streak_count=5, streak_amplitude=0.15, seed=7)
-    field = streak_field(spec, p.pixels.shape)
-    assert field.min() >= 0.0
-    assert field.max() + 0.3 <= 1.0
-    out = degrade(p, spec)
-    assert np.allclose(out.pixels - p.pixels, field, atol=1e-12)
-
-
-def test_degrade_deterministic():
-    p = make_clean(3, 1)[0]
-    spec = DegradeSpec(seed=11)
-    a = degrade(p, spec)
-    b = degrade(p, spec)
-    assert np.array_equal(a.pixels, b.pixels)
 
 
 def test_unpaired_sets_are_disjoint_and_eval_is_paired():
@@ -133,7 +88,7 @@ def test_unpaired_sets_peak_memory_is_the_output_plus_a_few_chunks(n, side):
 
 
 def test_psnr_identical_inputs_cap():
-    p = make_clean(4, 1)[0]
+    p = _clean_stack(4, 1, 32)[0]
     assert psnr(p, p) == 99.0
 
 
@@ -208,16 +163,22 @@ def test_ssim_too_small_and_shape_mismatch():
 
 
 def test_pgm_roundtrip_within_quantization(tmp_path):
-    p = make_clean(6, 1)[0]
+    p = _clean_stack(6, 1, 32)[0]
     path = tmp_path / "img.pgm"
     write_pgm(path, p)
-    back = read_pgm(path, domain_tag="clean")
-    assert back.pixels.shape == p.pixels.shape
-    assert np.max(np.abs(back.pixels - p.pixels)) <= 1.0 / 255.0
+    back = read_pgm(path)
+    assert back.dtype == np.float64 and back.shape == p.shape
+    assert np.max(np.abs(back - p)) <= 1.0 / 255.0
+
+
+def test_write_pgm_refuses_a_stack(tmp_path):
+    with pytest.raises(ShapeMismatch):
+        write_pgm(tmp_path / "img.pgm", np.zeros((2, 4, 4)))
+    assert not list(tmp_path.iterdir())
 
 
 def test_pgm_header_tokens(tmp_path):
-    p = make_clean(7, 1)[0]
+    p = _clean_stack(7, 1, 32)[0]
     path = tmp_path / "img.pgm"
     write_pgm(path, p)
     head = path.read_bytes()[:64].split(b"\n")
@@ -226,7 +187,7 @@ def test_pgm_header_tokens(tmp_path):
 
 
 def test_pgm_truncated_rejected(tmp_path):
-    p = make_clean(8, 1)[0]
+    p = _clean_stack(8, 1, 32)[0]
     path = tmp_path / "img.pgm"
     write_pgm(path, p)
     path.write_bytes(path.read_bytes()[: 15 + 100])
@@ -241,10 +202,18 @@ def test_pgm_bad_magic_rejected(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header", [b"P5\n-2 2\n255\n", b"P5\n0 3\n255\n"], ids=["negative-width", "zero-width"])
+def test_pgm_nonpositive_size_rejected(tmp_path, header):
+    # Enough pixel bytes follow that only the size check can refuse the file.
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(MalformedFile, match="not positive"):
+        read_pgm(path)
+
+
 def test_pgm_comment_header_accepted(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 128, 255, 64]))
-    patch = read_pgm(path)
-    assert patch.pixels.shape == (2, 2)
-    assert patch.pixels[0, 1] == 128 / 255
-
+    pixels = read_pgm(path)
+    assert pixels.shape == (2, 2)
+    assert pixels[0, 1] == 128 / 255
