@@ -8,6 +8,7 @@ from dgpcyclegan.data_metrics import (
     CHUNK_ELEMENTS,
     DegradeSpec,
     _clean_stack,
+    _degrade_rows,
     make_eval_pairs,
     make_unpaired_sets,
     psnr,
@@ -22,11 +23,29 @@ from dgpcyclegan.errors import MalformedFile, ShapeMismatch, TooSmall
 # --- synthetic data ----------------------------------------------------------
 
 
+def test_degrade_amplitude_zero_is_identity():
+    clean = _clean_stack(1, 1, 32)
+    out = _degrade_rows(clean.copy(), DegradeSpec(streak_amplitude=0.0, seed=3), [3])
+    assert np.array_equal(out, clean)
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_streak_field_without_streaks_is_zero(count):
     field = streak_field(DegradeSpec(streak_count=count, seed=4), (12, 14))
     assert field.shape == (12, 14)
     assert not field.any()
+
+
+def test_degrade_additive_below_clamp():
+    # Scale the clean patch down so clean + streaks never clips; then the
+    # degradation is exactly the additive streak field.
+    clean = _clean_stack(2, 1, 32) * 0.3
+    spec = DegradeSpec(streak_count=5, streak_amplitude=0.15, seed=7)
+    field = streak_field(spec, clean.shape[1:])
+    assert field.min() >= 0.0
+    assert field.max() + 0.3 <= 1.0
+    out = _degrade_rows(clean.copy(), spec, [spec.seed])
+    assert np.allclose(out[0] - clean[0], field, atol=1e-12)
 
 
 def test_unpaired_sets_are_disjoint_and_eval_is_paired():

@@ -19,7 +19,7 @@ from dgpcyclegan.gp_supervisor import (
 )
 from dgpcyclegan.kernels import KernelSpec
 from dgpcyclegan.nets import Generator
-from dgpcyclegan.verify import fd_grad
+from dgpcyclegan.verify import brute_force_condition, fd_grad
 
 SPEC1 = KernelSpec.homogeneous(depth=1)
 SPEC4 = KernelSpec.homogeneous(depth=4)
@@ -145,6 +145,23 @@ def test_noiseless_interpolation_is_exact():
     assert np.array_equal(post.pseudo_label, z)
 
 
+def test_condition_matches_brute_force_oracle():
+    rng = np.random.default_rng(36)
+    for _ in range(100):
+        n = int(rng.integers(1, 17))
+        ds = int(rng.integers(1, 9))
+        dz = int(rng.integers(1, 9))
+        bank = FeatureBank(
+            "clean", s=rng.standard_normal((n, ds)), z=rng.standard_normal((n, dz))
+        )
+        q = rng.standard_normal(ds)
+        post = gp_condition(SPEC4, bank, np.arange(n), q)
+        mean, var = brute_force_condition(SPEC4, bank.s, bank.z, q)
+        denom = max(np.linalg.norm(mean), 1e-300)
+        assert np.linalg.norm(post.pseudo_label - mean) / denom <= 1e-8
+        assert abs(post.variance - var) / max(abs(var), 1e-300) <= 1e-8
+
+
 def test_condition_permutation_invariance():
     rng = np.random.default_rng(37)
     bank = random_bank(rng, 9)
@@ -255,6 +272,33 @@ def test_query_grad_matches_finite_differences(family, depth):
     numeric = fd_grad(loss_of_query, q.copy())
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-300)
     assert np.linalg.norm(analytic - numeric) / denom < 1e-5
+
+
+def test_stacked_gp_matches_per_row_calls():
+    rng = np.random.default_rng(45)
+    spec = KernelSpec.homogeneous(depth=3, beta=1.5, gamma=1.5)
+    bank = FeatureBank("clean", s=rng.standard_normal((25, 5)), z=rng.standard_normal((25, 4)))
+
+    def rel(a, b):
+        return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
+
+    for b in range(1, 5):
+        qs, qz, z_pred = (rng.standard_normal((b, d)) for d in (5, 4, 4))
+        ids = knn_select(bank, qz, n=6)
+        post = gp_condition(spec, bank, ids, qs)
+        assert ids.shape == (b, 6) and post.pseudo_label.shape == (b, 4) and post.variance.shape == (b,)
+        loss = pseudo_loss(post, z_pred)
+        grad = pseudo_loss_grad(post, z_pred)
+        query_grad = pseudo_loss_query_grad(spec, bank, post, qs, z_pred)
+        for i in range(b):
+            ids_i = knn_select(bank, qz[i], n=6)
+            assert np.array_equal(ids[i], ids_i)
+            one = gp_condition(spec, bank, ids_i, qs[i])
+            assert rel(post.pseudo_label[i], one.pseudo_label) <= 1e-12
+            assert rel(post.variance[i], one.variance) <= 1e-12
+            assert rel(loss[i], pseudo_loss(one, z_pred[i])) <= 1e-12
+            assert rel(grad[i], pseudo_loss_grad(one, z_pred[i])) <= 1e-12
+            assert rel(query_grad[i], pseudo_loss_query_grad(spec, bank, one, qs[i], z_pred[i])) <= 1e-12
 
 
 def test_query_grad_reuses_the_conditioning_solves(monkeypatch):

@@ -66,6 +66,12 @@ def test_self_similarity_is_beta_l_squared(depth):
         assert abs(effective_kernel(spec, x, x) - spec.signal_var) <= 1e-12
 
 
+def test_depth_two_hand_value():
+    # k1 = exp(-1); k2 = 1/sqrt(1 + 2*(1 - exp(-1))) = 0.664567
+    spec = KernelSpec.homogeneous(depth=2)
+    assert abs(effective_kernel(spec, X_UNIT, Y_UNIT) - 0.664567) < 1e-6
+
+
 def test_recursion_raises_on_nonpositive_radicand():
     # A linear layer-1 kernel can exceed beta^2 and zero the radicand.
     spec = KernelSpec.heterogeneous("lin", depth=2, beta=1.0, gamma=1.0)

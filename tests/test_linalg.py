@@ -16,6 +16,13 @@ def test_cholesky_identity():
     assert f.jitter_used == 0.0
 
 
+def test_cholesky_hand_2x2():
+    # [[4,2],[2,3]] = L L^T with L = [[2,0],[1,sqrt(2)]]
+    f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+    expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
+    assert np.max(np.abs(f.lower - expected)) < 1e-12
+
+
 def test_cholesky_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -145,6 +152,18 @@ def test_solve_matrix_rhs_and_dimension_check():
     assert np.allclose(a @ x, b, atol=1e-9)
     with pytest.raises(DimensionMismatch):
         solve_posdef(f, rng.standard_normal(5))
+
+
+def test_solve_residual_property_200_cases():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 17))
+        a = random_pd(rng, n)
+        b = rng.standard_normal(n)
+        f = cholesky(a)
+        x = solve_posdef(f, b)
+        res = np.linalg.norm((a + f.jitter_used * np.eye(n)) @ x - b)
+        assert res <= 1e-8 * (1.0 + np.linalg.norm(b))
 
 
 def test_factor_roundtrip_property():
