@@ -18,71 +18,11 @@ import numpy as np
 
 # psnr and ssim are scored through trainer.evaluate; they stay importable
 # here because perfbench's trace wraps them at this module.
-from .data_metrics import SSIM_WINDOW, DegradeSpec, make_eval_pairs, make_unpaired_sets, psnr, ssim  # noqa: F401
+from .data_metrics import DegradeSpec, make_eval_pairs, make_unpaired_sets, psnr, ssim  # noqa: F401
 from .errors import ConfigError, DgpError
 from .fileio import atomic_open
-from .kernels import FAMILIES
 from .nets import load_checkpoint
-from .trainer import DeskData, TrainConfig, evaluate, train_run
-
-
-def _parse_bool(v: str) -> bool:
-    low = v.strip().lower()
-    if low in ("on", "true", "1", "yes"):
-        return True
-    if low in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"expected on/off, got {v!r}")
-
-
-def _parse_ints(v: str) -> tuple:
-    return tuple(int(p) for p in v.split(",") if p.strip())
-
-
-# key -> (converter, default); None defaults are resolved later.
-CONFIG_SCHEMA = {
-    "seed": (int, None),
-    "data_seed": (int, None),
-    "epochs": (int, 30),
-    "batch_size": (int, 2),
-    "lr": (float, 2e-4),
-    "lr_halve_every": (int, 30),
-    "lambda_p": (float, 0.03),
-    "n_neighbors": (int, 32),
-    "gp_depth": (int, 4),
-    "dgp": (_parse_bool, True),
-    "grad_through_query": (_parse_bool, False),
-    "kernel_family": (str, "se"),
-    "kernel_beta": (float, 2.5),
-    "kernel_gamma": (float, 2.5),
-    "noise_var": (float, 0.01),
-    "img_side": (int, 32),
-    "gen_hidden": (_parse_ints, (128, 32, 32, 128)),
-    "disc_hidden": (_parse_ints, (64, 32)),
-    "tap_s": (int, 2),
-    "tap_z": (int, 3),
-    "eval_interval": (int, 1),
-    "n_train": (int, 200),
-    "n_eval": (int, 40),
-    "streak_count": (int, 16),
-    "streak_amplitude": (float, 0.8),
-    "streak_angle": (float, -1.1),
-    "streak_width": (float, 1.2),
-    "out_dir": (str, None),
-    "checkpoint_interval": (int, 10),
-    "sample_count": (int, 3),
-}
-
-
-# Smallest value of each numeric key a run can use.  Values are checked when
-# the config is built, so a bad config never fails part-way through a run.
-CONFIG_MIN = dict.fromkeys(("epochs", "batch_size", "lr_halve_every", "n_neighbors", "gp_depth",
-                            "eval_interval", "n_train", "n_eval", "checkpoint_interval"), 1)
-CONFIG_MIN.update(seed=0, data_seed=0, lambda_p=0.0, img_side=SSIM_WINDOW,  # SSIM takes whole windows
-                  streak_count=0, streak_amplitude=0.0)  # 0 streaks or amplitude 0: weather = clean
-# Keys that must be above zero; the pseudo loss takes the log of the posterior
-# variance, whose floor is noise_var.
-CONFIG_POSITIVE = ("lr", "kernel_beta", "kernel_gamma", "noise_var", "streak_width")
+from .trainer import CONFIG_SCHEMA, DeskData, TrainConfig, check_config, evaluate, train_run
 
 
 def _convert(key: str, text: str, name: str | None = None):
@@ -93,42 +33,24 @@ def _convert(key: str, text: str, name: str | None = None):
         raise ConfigError(f"bad value for {name or key}: {text!r}") from exc
 
 
-def _check_values(values: dict) -> None:
-    """Refuse values a run cannot use; every message names the key."""
-    for key, (conv, _) in CONFIG_SCHEMA.items():
-        if conv is float and not np.isfinite(values[key]):
-            raise ConfigError(f"{key} must be finite, got {values[key]!r}")
-    for key, low in CONFIG_MIN.items():
-        if not values[key] >= low:
-            raise ConfigError(f"{key} must be at least {low}, got {values[key]!r}")
-    for key in CONFIG_POSITIVE:
-        if not values[key] > 0:
-            raise ConfigError(f"{key} must be positive, got {values[key]!r}")
-    if values["kernel_family"] not in FAMILIES:
-        raise ConfigError(f"kernel_family must be one of {', '.join(FAMILIES)}, got {values['kernel_family']!r}")
-    for key in ("gen_hidden", "disc_hidden"):
-        if any(w < 1 for w in values[key]):
-            raise ConfigError(f"{key} widths must be positive, got {values[key]!r}")
-    n_hidden = len(values["gen_hidden"])
-    if not 1 <= values["tap_s"] < values["tap_z"] <= n_hidden:
-        raise ConfigError(
-            f"tap_s = {values['tap_s']} and tap_z = {values['tap_z']} must satisfy "
-            f"1 <= tap_s < tap_z <= {n_hidden}, the number of gen_hidden layers"
-        )
-
-
 @dataclass
 class RunConfig:
     """Everything a train/eval/ablate run needs, resolved from file + flags."""
 
     train: TrainConfig
     degrade: DegradeSpec
-    data_seed: int
-    n_train: int
-    n_eval: int
-    out_dir: str | None
-    checkpoint_interval: int
-    sample_count: int
+    data_seed: int | None = None  # None: the seed
+    n_train: int = 200
+    n_eval: int = 40
+    out_dir: str | None = None
+    checkpoint_interval: int = 10
+    sample_count: int = 3
+
+
+# Each key's default is the field it sets.  seed has none here: it falls back
+# to DGP_SEED, then to TrainConfig's.
+CONFIG_DEFAULTS = {f.name: f.default for cls in (DegradeSpec, TrainConfig, RunConfig) for f in fields(cls)
+                   if f.name in CONFIG_SCHEMA} | {"dgp": TrainConfig.dgp_enabled, "seed": None}
 
 
 def parse_config_file(path) -> dict:
@@ -153,9 +75,7 @@ def parse_config_file(path) -> dict:
 
 def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Typed RunConfig from raw file values plus flag overrides (flag wins)."""
-    values = {}
-    for key, (_, default) in CONFIG_SCHEMA.items():
-        values[key] = _convert(key, raw[key]) if key in raw else default
+    values = {key: _convert(key, raw[key]) if key in raw else CONFIG_DEFAULTS[key] for key in CONFIG_SCHEMA}
     for key, val in (overrides or {}).items():
         if val is None:
             continue
@@ -165,10 +85,10 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
 
     if values["seed"] is None:
         env = os.environ.get("DGP_SEED")
-        values["seed"] = _convert("seed", env, "DGP_SEED") if env else 0
+        values["seed"] = _convert("seed", env, "DGP_SEED") if env else TrainConfig.seed
     if values["data_seed"] is None:
         values["data_seed"] = values["seed"]
-    _check_values(values)
+    check_config(values)
 
     dgp_on = values["dgp"]
     train = _from_keys(TrainConfig, values, lambda_p=values["lambda_p"] if dgp_on else 0.0, dgp_enabled=dgp_on)
@@ -241,7 +161,7 @@ def _load_run_config(args, need_out: bool, **extra) -> RunConfig:
         "gp_depth": getattr(args, "gp_depth", None),
     }
     if getattr(args, "dgp", None) is not None:
-        overrides["dgp"] = _parse_bool(args.dgp)
+        overrides["dgp"] = _convert("dgp", args.dgp, "--dgp")
     rc = build_run_config(raw, {**overrides, **extra})
     if need_out and not rc.out_dir:  # an empty `out_dir =` line is no directory either
         raise ConfigError("missing config key: out_dir (set it in the file or pass --out)")

@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_metrics import _pixels, psnr, ssim, write_pgm
-from .errors import EmptyDataset, NonFiniteGradient, NonFiniteLoss
+from .data_metrics import SSIM_WINDOW, _pixels, psnr, ssim, write_pgm
+from .errors import ConfigError, EmptyDataset, NonFiniteGradient, NonFiniteLoss
 from .fileio import atomic_open
 from .gp_supervisor import (
     FeatureBank,
@@ -46,7 +46,7 @@ from .gp_supervisor import (
     pseudo_loss_grad,
     pseudo_loss_query_grad,
 )
-from .kernels import KernelSpec
+from .kernels import FAMILIES, KernelSpec
 from .nets import AdamState, Discriminator, Generator, adam_step, save_checkpoint
 
 
@@ -80,12 +80,7 @@ class TrainConfig:
     eval_interval: int = 1
 
     def __post_init__(self) -> None:
-        if self.lambda_p < 0:
-            raise ValueError("lambda_p must be non-negative")
-        if min(self.n_neighbors, self.gp_depth, self.epochs, self.batch_size) < 1:
-            raise ValueError("counts must be positive")
-        if self.lr_halve_every < 1:
-            raise ValueError("lr_halve_every must be positive")
+        check_config(vars(self))
 
     def resolve_kernel(self) -> KernelSpec:
         return KernelSpec.heterogeneous(
@@ -95,6 +90,90 @@ class TrainConfig:
             gamma=self.kernel_gamma,
             noise_var=self.noise_var,
         )
+
+
+def _parse_bool(v: str) -> bool:
+    low = v.strip().lower()
+    if low not in ("on", "true", "1", "yes", "off", "false", "0", "no"):
+        raise ValueError(f"expected on/off, got {v!r}")
+    return low in ("on", "true", "1", "yes")
+
+
+def _parse_ints(v: str) -> tuple:
+    return tuple(int(p) for p in v.split(",") if p.strip())
+
+
+POSITIVE, WIDTHS = "positive", "widths"
+
+# Every config key -> (converter, rule).  A rule is a minimum, POSITIVE, WIDTHS
+# (every width at least 1), a tuple of choices or None; a float is also finite.
+# Each key's default is the field it sets (cli.CONFIG_DEFAULTS).  Values are
+# checked when the config is built, so a bad config never fails mid-run.
+CONFIG_SCHEMA = {
+    "seed": (int, 0),
+    "data_seed": (int, 0),
+    "epochs": (int, 1),
+    "batch_size": (int, 1),
+    "lr": (float, POSITIVE),
+    "lr_halve_every": (int, 1),
+    "lambda_p": (float, 0.0),
+    "n_neighbors": (int, 1),
+    "gp_depth": (int, 1),
+    "dgp": (_parse_bool, None),
+    "grad_through_query": (_parse_bool, None),
+    "kernel_family": (str, FAMILIES),
+    "kernel_beta": (float, POSITIVE),
+    "kernel_gamma": (float, POSITIVE),
+    # The pseudo loss takes the log of the posterior variance, whose floor is noise_var.
+    "noise_var": (float, POSITIVE),
+    "img_side": (int, 1),
+    "gen_hidden": (_parse_ints, WIDTHS),
+    "disc_hidden": (_parse_ints, WIDTHS),
+    "tap_s": (int, None),
+    "tap_z": (int, None),
+    "eval_interval": (int, 1),
+    "n_train": (int, 1),
+    "n_eval": (int, 1),
+    "streak_count": (int, 0),  # 0 streaks or amplitude 0: weather = clean
+    "streak_amplitude": (float, 0.0),
+    "streak_angle": (float, None),
+    "streak_width": (float, POSITIVE),
+    "out_dir": (str, None),
+    "checkpoint_interval": (int, 1),
+    "sample_count": (int, 0),
+}
+
+
+def check_config(values: dict) -> None:
+    """Refuse values a run cannot use; every message names the key.
+
+    Checks each key in values (at least the TrainConfig keys) by its table
+    rule, then the two rules that join keys: the taps' order, and the SSIM
+    window the held-out pairs need.
+    """
+    for key in filter(values.__contains__, CONFIG_SCHEMA):
+        (conv, rule), value = CONFIG_SCHEMA[key], values[key]
+        if conv is float and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+        if rule is None:
+            continue
+        if isinstance(rule, tuple):
+            ok, need = value in rule, f"be one of {', '.join(rule)}"
+        elif rule == POSITIVE:
+            ok, need = value > 0, "be positive"
+        elif rule == WIDTHS:
+            ok, need = all(w >= 1 for w in value), "have widths of at least 1"
+        else:
+            ok, need = value >= rule, f"be at least {rule}"
+        if not ok:
+            raise ConfigError(f"{key} must {need}, got {value!r}")
+    n_hidden = len(values["gen_hidden"])
+    if not 1 <= values["tap_s"] < values["tap_z"] <= n_hidden:
+        raise ConfigError(f"tap_s = {values['tap_s']} and tap_z = {values['tap_z']} must satisfy "
+                          f"1 <= tap_s < tap_z <= {n_hidden}, the number of gen_hidden layers")
+    if values.get("n_eval", 0) >= 1 and values["img_side"] < SSIM_WINDOW:
+        raise ConfigError(f"img_side must be at least {SSIM_WINDOW}, the SSIM window, when n_eval >= 1, "
+                          f"got {values['img_side']!r}")
 
 
 @dataclass

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dgpcyclegan import gp_supervisor, trainer, verify
-from dgpcyclegan.cli import build_run_config, main, parse_config_file
+from dgpcyclegan.cli import CONFIG_SCHEMA, build_run_config, main, parse_config_file
 from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
 from dgpcyclegan_console import BLAS_THREAD_VARS
 
@@ -71,6 +71,17 @@ def test_config_dgp_off_forces_lambda_zero():
     assert rc.train.lambda_p == 0.0
 
 
+def test_readme_defaults_block_is_the_schema_defaults(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "readme.cfg"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    raw = parse_config_file(path)
+    assert raw.keys() == CONFIG_SCHEMA.keys()
+    assert raw.pop("out_dir") == ""
+    monkeypatch.delenv("DGP_SEED", raising=False)
+    assert build_run_config(raw) == build_run_config({})
+
+
 def test_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("DGP_SEED", "1234")
     rc = build_run_config({})
@@ -114,6 +125,7 @@ def test_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
         ("streak_count = -3", "streak_count"),
         ("streak_amplitude = -0.5", "streak_amplitude"),
         ("streak_width = 0", "streak_width"),
+        ("sample_count = -1", "sample_count"),
     ],
 )
 def test_train_refuses_unusable_value(fast_config, tmp_path, capsys, lines, key):

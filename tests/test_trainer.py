@@ -6,7 +6,7 @@ import pytest
 
 from dgpcyclegan import trainer
 from dgpcyclegan.data_metrics import DegradeSpec, make_unpaired_sets
-from dgpcyclegan.errors import EmptyDataset, NonFiniteGradient
+from dgpcyclegan.errors import ConfigError, EmptyDataset, NonFiniteGradient
 from dgpcyclegan.nets import Discriminator, adam_step
 from dgpcyclegan.trainer import (
     CSV_COLUMNS,
@@ -36,6 +36,12 @@ def small_config(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 0), ("lambda_p", -1), ("lr_halve_every", 0)])
+def test_train_config_refuses_unusable_value(key, value):
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(**{key: value})
 
 
 def small_data(n=10, seed=0, side=8):
