@@ -9,6 +9,7 @@ DGP_SEED environment variable when neither the file nor a flag provides one.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -43,8 +44,9 @@ class RunConfig:
     n_train: int = 200
     n_eval: int = 40
     out_dir: str | None = None
-    checkpoint_interval: int = 10
-    sample_count: int = 3
+    # train_run's own defaults, so each is written once.
+    checkpoint_interval: int = inspect.signature(train_run).parameters["checkpoint_interval"].default
+    sample_count: int = inspect.signature(train_run).parameters["sample_count"].default
 
 
 # Each key's default is the field it sets.  seed has none here: it falls back

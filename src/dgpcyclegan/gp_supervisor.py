@@ -31,23 +31,16 @@ callers that enable it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-import struct
 
 import numpy as np
 
 from .data_metrics import _pixels
-from .errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile, NotPositiveDefinite
-from .fileio import atomic_open
+from .errors import DimensionMismatch, EmptyBank, EmptyDataset, NotPositiveDefinite
 from .kernels import KernelSpec, gram, kernel_row_grad
 # Not called here since k(q, q) comes off the joint Gram; perfbench/workloads.py
 # still wraps this module's effective_kernel by name, so it stays imported.
 from .kernels import effective_kernel  # noqa: F401
 from .linalg import cholesky, matvec, row_dot, solve_posdef, vecmat
-
-BANK_MAGIC = b"DGPBANK1"
-_DOMAIN_CODES = {"clean": 0, "weather": 1}
-_DOMAIN_NAMES = {v: k for k, v in _DOMAIN_CODES.items()}
 
 
 @dataclass
@@ -61,14 +54,13 @@ class FeatureBank:
     domain: str
     s: np.ndarray  # (n, s_dim)
     z: np.ndarray  # (n, z_dim)
-    epoch_stamp: int = 0
 
     def __post_init__(self) -> None:
         self.s = np.atleast_2d(np.asarray(self.s, dtype=float))
         self.z = np.atleast_2d(np.asarray(self.z, dtype=float))
         if self.s.shape[0] != self.z.shape[0]:
             raise DimensionMismatch("s and z store a different number of entries")
-        if self.domain not in _DOMAIN_CODES:
+        if self.domain not in ("clean", "weather"):
             raise ValueError(f"unknown domain {self.domain!r}")
 
     def __len__(self) -> int:
@@ -90,7 +82,7 @@ class GpPosterior:
     w: np.ndarray | None = None
 
 
-def bank_build(images, generator, domain: str = "clean", epoch: int = 0) -> FeatureBank:
+def bank_build(images, generator, domain: str = "clean") -> FeatureBank:
     """Store the (s, z) taps of all images, from one stacked generator pass.
 
     The pass is Generator.taps: it runs only the stages up to the z-tap and
@@ -104,7 +96,7 @@ def bank_build(images, generator, domain: str = "clean", epoch: int = 0) -> Feat
     if not images:
         raise EmptyDataset("cannot build a feature bank from zero images")
     s, z = generator.taps(_pixels(images))
-    return FeatureBank(domain=domain, s=s, z=z, epoch_stamp=epoch)
+    return FeatureBank(domain=domain, s=s, z=z)
 
 
 def _queries(query, dim: int, what: str) -> np.ndarray:
@@ -236,33 +228,3 @@ def pseudo_loss_query_grad(
     grad_var = 2.0 * (jac_joint[..., -1, :] - vecmat(posterior.w, jac))
     grad_var_term = (z.shape[-1] / var - maha / (var * var)) * grad_var
     return grad_mean_term + grad_var_term
-
-
-def write_bank(path, bank: FeatureBank) -> None:
-    """Dump a bank to the flat binary layout documented in the README."""
-    n, s_dim = bank.s.shape
-    z_dim = bank.z.shape[1]
-    with atomic_open(path, "wb") as fh:
-        fh.write(BANK_MAGIC)
-        fh.write(struct.pack("<IIIIQ", _DOMAIN_CODES[bank.domain], n, s_dim, z_dim, bank.epoch_stamp))
-        fh.write(np.ascontiguousarray(bank.s, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(bank.z, dtype="<f8").tobytes())
-
-
-def read_bank(path) -> FeatureBank:
-    """Read a bank dumped by write_bank; raises MalformedFile on bad layout."""
-    raw = Path(path).read_bytes()
-    header = len(BANK_MAGIC) + struct.calcsize("<IIIIQ")
-    if len(raw) < header or raw[: len(BANK_MAGIC)] != BANK_MAGIC:
-        raise MalformedFile(f"{path}: not a feature-bank file")
-    code, n, s_dim, z_dim, epoch = struct.unpack_from("<IIIIQ", raw, len(BANK_MAGIC))
-    if code not in _DOMAIN_NAMES:
-        raise MalformedFile(f"{path}: unknown domain code {code}")
-    need = header + 8 * n * (s_dim + z_dim)
-    if len(raw) != need:
-        raise MalformedFile(f"{path}: expected {need} bytes, found {len(raw)}")
-    s = np.frombuffer(raw, dtype="<f8", count=n * s_dim, offset=header).reshape(n, s_dim)
-    z = np.frombuffer(raw, dtype="<f8", count=n * z_dim, offset=header + 8 * n * s_dim).reshape(
-        n, z_dim
-    )
-    return FeatureBank(domain=_DOMAIN_NAMES[code], s=s.copy(), z=z.copy(), epoch_stamp=epoch)

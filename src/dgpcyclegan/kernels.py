@@ -34,6 +34,8 @@ FAMILIES = (SE, LIN, SC)
 
 # Small positive bias keeping the linear kernel's Gram matrix nonsingular.
 LIN_BIAS = 1e-6
+# Smallest length scale: above it gamma**2 does not underflow and 2 / gamma**2 stays finite.
+GAMMA_MIN = 1e-150
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class KernelSpec:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ValueError(f"unknown kernel family {fam!r}")
-        if any(b <= 0 for b in self.beta) or any(g <= 0 for g in self.gamma):
-            raise ValueError("beta and gamma must be positive")
+        if any(b <= 0 for b in self.beta) or any(g < GAMMA_MIN for g in self.gamma):
+            raise ValueError(f"beta must be positive and gamma at least {GAMMA_MIN:g}")
         if self.noise_var < 0:
             raise ValueError("noise_var must be non-negative")
 

@@ -354,17 +354,21 @@ def load_checkpoint(path):
 
     The header fields are read from the file one by one and each parameter
     vector straight into its rebuilt net's own `params`, so loading holds
-    no second copy of the file.
+    no second copy of the file.  Each header is checked before its net is
+    built: the name decodes, the widths and taps fit the kind of net, and
+    the widths imply the stored parameter count; any other file raises
+    MalformedFile.
     """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
 
-        def take(fmt):
-            size = struct.calcsize(fmt)
-            raw = fh.read(size)
-            if len(raw) < size:
+        def read(size):
+            if fh.tell() + size > end:
                 raise MalformedFile(f"{path}: truncated checkpoint")
-            return struct.unpack(fmt, raw)
+            return fh.read(size)
+
+        def take(fmt):
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
 
         if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise MalformedFile(f"{path}: not a checkpoint file")
@@ -372,25 +376,32 @@ def load_checkpoint(path):
         nets = {}
         for _ in range(n_nets):
             (name_len,) = take("<I")
-            name = fh.read(name_len)
-            if len(name) < name_len:
-                raise MalformedFile(f"{path}: truncated checkpoint")
-            name = name.decode("utf-8")
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedFile(f"{path}: network name is not utf-8") from exc
             (kind,) = take("<B")
             (n_widths,) = take("<I")
             widths = take(f"<{n_widths}I")
             tap_s, tap_z = take("<ii")
             (n_params,) = take("<Q")
+            if kind not in (0, 1):
+                raise MalformedFile(f"{path}: unknown network kind {kind}")
+            # The widths the constructor builds: a generator ends at its input width, a discriminator at 1.
+            if n_widths < 2 or min(widths) < 1 or widths[-1] != (widths[0] if kind == 0 else 1):
+                raise MalformedFile(f"{path}: bad layer widths {widths} for {name!r}")
+            taps_ok = 1 <= tap_s < tap_z <= n_widths - 2 if kind == 0 else (tap_s, tap_z) == (-1, -1)
+            if not taps_ok:
+                raise MalformedFile(f"{path}: bad taps ({tap_s}, {tap_z}) for {name!r}")
+            # Python ints, so huge stored widths cannot overflow the count.
+            if sum(a * b + b for a, b in zip(widths, widths[1:])) != n_params:
+                raise MalformedFile(f"{path}: parameter count mismatch for {name!r}")
             if fh.tell() + 8 * n_params > end:
                 raise MalformedFile(f"{path}: truncated checkpoint")
             if kind == 0:
                 net = Generator(widths[0], hidden=widths[1:-1], tap_s=tap_s, tap_z=tap_z)
-            elif kind == 1:
-                net = Discriminator(widths[0], hidden=widths[1:-1])
             else:
-                raise MalformedFile(f"{path}: unknown network kind {kind}")
-            if net.n_params != n_params:
-                raise MalformedFile(f"{path}: parameter count mismatch for {name!r}")
+                net = Discriminator(widths[0], hidden=widths[1:-1])
             if fh.readinto(net.params.view(np.uint8)) < 8 * n_params:
                 raise MalformedFile(f"{path}: truncated checkpoint")
             if sys.byteorder != "little":

@@ -46,7 +46,7 @@ from .gp_supervisor import (
     pseudo_loss_grad,
     pseudo_loss_query_grad,
 )
-from .kernels import FAMILIES, KernelSpec
+from .kernels import FAMILIES, GAMMA_MIN, KernelSpec
 from .nets import AdamState, Discriminator, Generator, adam_step, save_checkpoint
 
 
@@ -123,7 +123,7 @@ CONFIG_SCHEMA = {
     "grad_through_query": (_parse_bool, None),
     "kernel_family": (str, FAMILIES),
     "kernel_beta": (float, POSITIVE),
-    "kernel_gamma": (float, POSITIVE),
+    "kernel_gamma": (float, GAMMA_MIN),
     # The pseudo loss takes the log of the posterior variance, whose floor is noise_var.
     "noise_var": (float, POSITIVE),
     "img_side": (int, 1),
@@ -265,7 +265,7 @@ def _least_squares(scores: np.ndarray, target):
     return float(np.mean(d * d)), 2.0 * d / d.size
 
 
-def build_epoch_banks(weather_images, clean_images, gen_wc: Generator, gen_cw: Generator, epoch: int) -> EpochBanks:
+def build_epoch_banks(weather_images, clean_images, gen_wc: Generator, gen_cw: Generator) -> EpochBanks:
     """Snapshot (s, z) taps of both domains at the current weights.
 
     The weather bank stores taps of the weather-to-clean net over the weather
@@ -274,8 +274,8 @@ def build_epoch_banks(weather_images, clean_images, gen_wc: Generator, gen_cw: G
     """
     if not len(weather_images) or not len(clean_images):
         raise EmptyDataset("both domains need at least one image")
-    bank_w = bank_build(weather_images, gen_wc, domain="weather", epoch=epoch)
-    bank_c = bank_build(clean_images, gen_cw, domain="clean", epoch=epoch)
+    bank_w = bank_build(weather_images, gen_wc, domain="weather")
+    bank_c = bank_build(clean_images, gen_cw, domain="clean")
     return EpochBanks(weather=bank_w, clean=bank_c)
 
 
@@ -481,7 +481,7 @@ def train_run(
     data: DeskData,
     out_dir=None,
     checkpoint_interval: int = 10,
-    sample_count: int = 0,
+    sample_count: int = 3,
 ):
     """Full training run; returns (state, per-epoch history).
 
@@ -505,9 +505,7 @@ def train_run(
 
         banks = None
         if config.dgp_enabled:
-            banks = build_epoch_banks(
-                data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, epoch
-            )
+            banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
 
         order_w = rng_shuffle.permutation(len(data.weather_train))
         order_c = rng_shuffle.permutation(len(data.clean_train))

@@ -1,4 +1,6 @@
+import inspect
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from dgpcyclegan import gp_supervisor, trainer, verify
-from dgpcyclegan.cli import CONFIG_SCHEMA, build_run_config, main, parse_config_file
+from dgpcyclegan.cli import CONFIG_DEFAULTS, CONFIG_SCHEMA, build_run_config, main, parse_config_file
 from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
 from dgpcyclegan_console import BLAS_THREAD_VARS
 
@@ -82,6 +84,12 @@ def test_readme_defaults_block_is_the_schema_defaults(tmp_path, monkeypatch):
     assert build_run_config(raw) == build_run_config({})
 
 
+def test_train_run_output_defaults_are_the_config_defaults():
+    params = inspect.signature(trainer.train_run).parameters
+    for key in ("checkpoint_interval", "sample_count"):
+        assert params[key].default == CONFIG_DEFAULTS[key]
+
+
 def test_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("DGP_SEED", "1234")
     rc = build_run_config({})
@@ -107,6 +115,7 @@ def test_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
         ("lambda_p = -1", "lambda_p"),
         ("kernel_family = foo", "kernel_family"),
         ("kernel_gamma = 0", "kernel_gamma"),
+        ("kernel_gamma = 1e-300", "kernel_gamma"),
         ("noise_var = -1", "noise_var"),
         ("tap_s = 3\ntap_z = 2", "tap_s"),
         ("gen_hidden = 16", "gen_hidden"),
@@ -345,6 +354,30 @@ def test_eval_refuses_a_checkpoint_of_another_image_size(fast_config, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("config error: img_side = 12") and "144" in err and "256" in err
     assert not (tmp_path / "ev").exists()
+
+
+def checkpoint_bytes(name: bytes, kind: int, widths, taps, n_params: int) -> bytes:
+    """A one-net DGPCKPT1 file with the given header fields and n_params zero parameters."""
+    return (b"DGPCKPT1" + struct.pack("<IQI", 1, 0, len(name)) + name
+            + struct.pack(f"<BI{len(widths)}Iii", kind, len(widths), *widths, *taps)
+            + struct.pack("<Q", n_params) + bytes(8 * n_params))
+
+
+@pytest.mark.parametrize(
+    "name, kind, widths, taps, n_params",
+    [
+        (b"gen_wc", 0, (4, 3, 2, 3, 4), (3, 1), 48),  # taps out of order
+        (b"gen_wc", 0, (4, 3, 0, 3, 4), (1, 2), 34),  # a zero width
+        (b"\xff\xfe", 0, (4, 3, 2, 3, 4), (1, 2), 48),  # a name that is not utf-8
+        (b"gen_wc", 0, (3_000_000_000, 3, 2, 3, 3_000_000_000), (1, 2), 1),  # widths imply 2.1e10 params
+    ],
+    ids=["taps", "zero-width", "name", "huge-widths"],
+)
+def test_eval_refuses_a_malformed_checkpoint(tmp_path, capsys, name, kind, widths, taps, n_params):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(checkpoint_bytes(name, kind, widths, taps, n_params))
+    assert main(["eval", "--ckpt", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_train_and_eval_do_not_load_the_oracle_module():

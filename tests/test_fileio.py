@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dgpcyclegan.fileio import atomic_open
-from dgpcyclegan.gp_supervisor import FeatureBank, read_bank, write_bank
 from dgpcyclegan.nets import Discriminator, load_checkpoint, save_checkpoint
 from dgpcyclegan.trainer import write_metrics_csv
 
@@ -39,16 +38,3 @@ def test_failed_metrics_and_checkpoint_writes_keep_the_earlier_files(tmp_path):
     assert (csv.read_bytes(), ckpt.read_bytes()) == before
     assert load_checkpoint(ckpt)[1] == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "metrics.csv"]
-
-
-def test_failed_bank_write_keeps_the_earlier_file(tmp_path):
-    path = tmp_path / "bank.bin"
-    bank = FeatureBank("clean", s=np.ones((3, 2)), z=np.zeros((3, 4)), epoch_stamp=2)
-    write_bank(path, bank)
-    before = path.read_bytes()
-    bank.epoch_stamp = -1  # struct refuses it after the magic bytes are written
-    with pytest.raises(Exception):
-        write_bank(path, bank)
-    assert path.read_bytes() == before
-    assert read_bank(path).epoch_stamp == 2
-    assert [p.name for p in tmp_path.iterdir()] == ["bank.bin"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgpcyclegan import gp_supervisor
-from dgpcyclegan.errors import DimensionMismatch, EmptyBank, EmptyDataset, MalformedFile, NotPositiveDefinite
+from dgpcyclegan.errors import DimensionMismatch, EmptyBank, EmptyDataset, NotPositiveDefinite
 from dgpcyclegan.gp_supervisor import (
     FeatureBank,
     GpPosterior,
@@ -14,8 +14,6 @@ from dgpcyclegan.gp_supervisor import (
     pseudo_loss,
     pseudo_loss_grad,
     pseudo_loss_query_grad,
-    read_bank,
-    write_bank,
 )
 from dgpcyclegan.kernels import KernelSpec
 from dgpcyclegan.nets import Generator
@@ -36,10 +34,9 @@ def test_bank_build_one_entry_per_image():
     rng = np.random.default_rng(31)
     gen = Generator(16, hidden=(6, 4, 4, 6), tap_s=2, tap_z=3, rng=rng)
     images = [rng.uniform(0, 1, (4, 4)) for _ in range(5)]
-    bank = bank_build(images, gen, domain="weather", epoch=3)
+    bank = bank_build(images, gen, domain="weather")
     assert len(bank) == 5
     assert bank.domain == "weather"
-    assert bank.epoch_stamp == 3
     # order preserved: entry i is row i of the forward pass of the stacked images
     _, s, z, _ = gen.forward(np.stack(images))
     assert np.array_equal(bank.s, s)
@@ -348,28 +345,3 @@ def test_pseudo_loss_dimension_mismatch():
         pseudo_loss(post, np.zeros(4))
     with pytest.raises(DimensionMismatch):
         pseudo_loss_grad(post, np.zeros(2))
-
-
-# --- bank file round trip ----------------------------------------------------
-
-
-def test_bank_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(43)
-    bank = FeatureBank("weather", s=rng.standard_normal((7, 5)), z=rng.standard_normal((7, 2)), epoch_stamp=9)
-    path = tmp_path / "bank.bin"
-    write_bank(path, bank)
-    back = read_bank(path)
-    assert back.domain == "weather"
-    assert back.epoch_stamp == 9
-    assert np.array_equal(back.s, bank.s)
-    assert np.array_equal(back.z, bank.z)
-
-
-def test_bank_file_truncation_rejected(tmp_path):
-    rng = np.random.default_rng(44)
-    bank = FeatureBank("clean", s=rng.standard_normal((3, 2)), z=rng.standard_normal((3, 2)))
-    path = tmp_path / "bank.bin"
-    write_bank(path, bank)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(MalformedFile):
-        read_bank(path)

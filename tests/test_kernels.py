@@ -9,11 +9,6 @@ X_UNIT = np.array([1.0, 0.0])
 Y_UNIT = np.array([0.0, 1.0])  # squared distance from X_UNIT is exactly 2
 
 
-def test_se_zero_distance_gives_beta_squared():
-    spec = KernelSpec.homogeneous(depth=1, beta=1.5)
-    assert base_kernel(spec, 0, X_UNIT, X_UNIT) == 1.5 ** 2
-
-
 def test_se_hand_value_at_squared_distance_two():
     spec = KernelSpec.homogeneous(depth=1)
     assert abs(base_kernel(spec, 0, X_UNIT, Y_UNIT) - np.exp(-1.0)) < 1e-15
@@ -191,5 +186,7 @@ def test_spec_validation():
         KernelSpec(families=(), beta=(), gamma=())
     with pytest.raises(ValueError):
         KernelSpec(families=("se",), beta=(-1.0,), gamma=(1.0,))
+    with pytest.raises(ValueError):
+        KernelSpec(families=("se",), beta=(1.0,), gamma=(1e-300,))  # gamma**2 underflows to 0
     with pytest.raises(ValueError):
         KernelSpec(families=("bogus",), beta=(1.0,), gamma=(1.0,))

@@ -162,9 +162,8 @@ def test_build_epoch_banks_sizes_and_stamp():
     cfg = small_config()
     state = init_state(cfg)
     data = small_data(n=7)
-    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, epoch=4)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
     assert len(banks.weather) == 7 and len(banks.clean) == 7
-    assert banks.weather.epoch_stamp == 4 and banks.clean.epoch_stamp == 4
     assert banks.weather.domain == "weather" and banks.clean.domain == "clean"
 
 
@@ -172,19 +171,19 @@ def test_build_epoch_banks_empty():
     cfg = small_config()
     state = init_state(cfg)
     with pytest.raises(EmptyDataset):
-        build_epoch_banks([], [], state.gen_wc, state.gen_cw, epoch=0)
+        build_epoch_banks([], [], state.gen_wc, state.gen_cw)
 
 
 def test_banks_change_as_weights_train():
     cfg = small_config(epochs=2)
     data = small_data(n=6)
     state = init_state(cfg)
-    b0 = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    b0 = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
     for start in range(0, 6, cfg.batch_size):
         train_step(
             data.weather_train[start : start + 2], data.clean_train[start : start + 2], b0, state, cfg
         )
-    b1 = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 1)
+    b1 = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
     assert not np.array_equal(b0.clean.z, b1.clean.z)
 
 
@@ -204,7 +203,7 @@ def test_batched_step_is_mean_of_single_pair_steps():
     cfg = small_config()
     data = small_data(n=6)
     state = init_state(cfg)
-    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
     nets = (state.gen_wc, state.gen_cw, state.disc_c, state.disc_w)
     kw = dict(lambda_p=0.05, kernel=state.kernel, banks=banks, n_neighbors=3, grad_through_query=True)
     iw = data.weather_train[:2]
@@ -228,7 +227,7 @@ def test_train_step_breakdown_reassembly():
     cfg = small_config()
     data = small_data(n=6)
     state = init_state(cfg)
-    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
     bd = train_step(data.weather_train[:2], data.clean_train[:2], banks, state, cfg)
     expected = bd.cyc_w + bd.cyc_c + bd.adv_fwd + bd.adv_rev + bd.identity + cfg.lambda_p * (bd.p_fwd + bd.p_rev)
     assert bd.total == expected
@@ -240,7 +239,7 @@ def test_train_step_lambda_zero_total_is_plain_loss():
     cfg = small_config(lambda_p=0.0)
     data = small_data(n=4)
     state = init_state(cfg)
-    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
     bd = train_step(data.weather_train[:2], data.clean_train[:2], banks, state, cfg)
     assert bd.total == bd.cyc_w + bd.cyc_c + bd.adv_fwd + bd.adv_rev + bd.identity
     # pseudo terms still reported (unweighted) because the supervisor is on
@@ -252,7 +251,7 @@ def test_train_step_deterministic_sequences():
         cfg = small_config()
         data = small_data(n=6)
         state = init_state(cfg)
-        banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+        banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
         return [
             train_step(data.weather_train[i : i + 2], data.clean_train[i : i + 2], banks, state, cfg)
             for i in (0, 2, 4)
@@ -346,7 +345,7 @@ def test_warm_train_step_allocates_no_parameter_sized_array():
     cfg = TrainConfig()
     clean, weather = make_unpaired_sets(cfg.n_neighbors + 8, DegradeSpec(), 0)
     state = init_state(cfg)
-    banks = build_epoch_banks(weather, clean, state.gen_wc, state.gen_cw, 0)
+    banks = build_epoch_banks(weather, clean, state.gen_wc, state.gen_cw)
     train_step(weather[:2], clean[:2], banks, state, cfg)
     tracemalloc.start()
     try:
@@ -374,7 +373,7 @@ def test_one_buffer_step_is_bit_identical_to_fresh_gradients():
     data = small_data(n=6)
     iw, ic = data.weather_train[:2], data.clean_train[:2]
     state, ref = init_state(cfg), init_state(cfg)
-    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
     train_step(iw, ic, banks, state, cfg)
 
     nets = (ref.gen_wc, ref.gen_cw, ref.disc_c, ref.disc_w)
@@ -395,7 +394,7 @@ def test_train_step_stops_on_a_non_finite_gradient():
     cfg = small_config(lambda_p=1e300)
     data = small_data(n=4)
     state = init_state(cfg)
-    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw, 0)
+    banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
     before = state.gen_wc.params.copy()
     with pytest.raises(NonFiniteGradient, match=r"gradient of gen_wc .* at epoch 0, step 0"):
         train_step(data.weather_train[:2], data.clean_train[:2], banks, state, cfg)
