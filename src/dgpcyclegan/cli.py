@@ -2,8 +2,9 @@
 
 Runs are described by a plain-text config file of `key = value` lines
 (`#` starts a comment); every key has a default, unknown keys are rejected,
-and any `--key value` flag overrides the file.  The seed falls back to the
-DGP_SEED environment variable when neither the file nor a flag provides one.
+and each flag in FLAGS overrides its key, parsed like a file value (a bad one
+exits 2 with `config error:`).  The seed falls back to the DGP_SEED
+environment variable when neither the file nor a flag provides one.
 """
 
 from __future__ import annotations
@@ -22,8 +23,20 @@ import numpy as np
 from .data_metrics import DegradeSpec, make_eval_pairs, make_unpaired_sets, psnr, ssim  # noqa: F401
 from .errors import ConfigError, DgpError
 from .fileio import atomic_open
-from .nets import load_checkpoint
+from .nets import Generator, load_checkpoint
 from .trainer import CONFIG_SCHEMA, DeskData, TrainConfig, check_config, evaluate, train_run
+
+
+# Each run flag and the config key it sets.
+FLAGS = {
+    "--seed": "seed",
+    "--out": "out_dir",
+    "--epochs": "epochs",
+    "--dgp": "dgp",
+    "--lambda-p": "lambda_p",
+    "--neighbors": "n_neighbors",
+    "--gp-depth": "gp_depth",
+}
 
 
 def _convert(key: str, text: str, name: str | None = None):
@@ -79,8 +92,6 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Typed RunConfig from raw file values plus flag overrides (flag wins)."""
     values = {key: _convert(key, raw[key]) if key in raw else CONFIG_DEFAULTS[key] for key in CONFIG_SCHEMA}
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = val
@@ -154,17 +165,9 @@ def cmd_verify(args) -> int:
 def _load_run_config(args, need_out: bool, **extra) -> RunConfig:
     """The run config from --config and the flags; `extra` overrides both."""
     raw = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "seed": args.seed,
-        "epochs": getattr(args, "epochs", None),
-        "out_dir": getattr(args, "out", None),
-        "lambda_p": getattr(args, "lambda_p", None),
-        "n_neighbors": getattr(args, "neighbors", None),
-        "gp_depth": getattr(args, "gp_depth", None),
-    }
-    if getattr(args, "dgp", None) is not None:
-        overrides["dgp"] = _convert("dgp", args.dgp, "--dgp")
-    rc = build_run_config(raw, {**overrides, **extra})
+    given = vars(args)
+    flags = {key: _convert(key, given[key], flag) for flag, key in FLAGS.items() if given.get(key) is not None}
+    rc = build_run_config(raw, {**flags, **extra})
     if need_out and not rc.out_dir:  # an empty `out_dir =` line is no directory either
         raise ConfigError("missing config key: out_dir (set it in the file or pass --out)")
     return rc
@@ -182,7 +185,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     rc = _load_run_config(args, need_out=False)
     nets, step = load_checkpoint(args.ckpt)
-    if "gen_wc" not in nets:
+    if not isinstance(nets.get("gen_wc"), Generator):
         raise ConfigError(f"checkpoint {args.ckpt} has no weather-to-clean generator")
     gen = nets["gen_wc"]
     side = rc.train.img_side
@@ -203,22 +206,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# Each ablate axis: its grid flag, the config key it sweeps, its summary file and default grid.
 AXES = {
-    "L": ("gp_depth", "summary_L.csv", (1, 2, 3, 4)),
-    "neighbors": ("n_neighbors", "summary_Nn.csv", (16, 32, 64)),
-    "lambda": ("lambda_p", "summary_lambda_p.csv", (0.3, 0.03, 0.003)),
+    "L": ("--layers", "gp_depth", "summary_L.csv", (1, 2, 3, 4)),
+    "neighbors": ("--neighbors-grid", "n_neighbors", "summary_Nn.csv", (16, 32, 64)),
+    "lambda": ("--lambdas", "lambda_p", "summary_lambda_p.csv", (0.3, 0.03, 0.003)),
 }
 
 
 def cmd_ablate(args) -> int:
     rc = _load_run_config(args, need_out=True)
     axes = list(AXES) if args.axis == "all" else [args.axis]
-    grid_text = {"L": args.layers, "neighbors": args.neighbors_grid, "lambda": args.lambdas}
     # Every grid point is parsed like its config key and checked before the first run starts.
     sweeps = []
     for axis in axes:
-        key, csv_name, default = AXES[axis]
-        text = grid_text[axis]
+        _, key, csv_name, default = AXES[axis]
+        text = getattr(args, axis)
         values = tuple(_convert(key, part) for part in text.split(",") if part.strip()) if text else default
         if not values:
             raise ConfigError(f"the {key} grid {text!r} holds no values")
@@ -247,32 +250,24 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run oracle and property suites")
     p_verify.add_argument("--suite", default=None, help="run a single suite by name")
 
-    def add_common(p, with_train_flags=True):
+    def add_common(p, flags=FLAGS):
         p.add_argument("--config", default=None, help="path to key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        if with_train_flags:
-            p.add_argument("--out", default=None, help="output directory")
-            p.add_argument("--epochs", type=int, default=None)
-            p.add_argument("--dgp", default=None, help="on or off")
-            p.add_argument("--lambda-p", dest="lambda_p", type=float, default=None)
-            p.add_argument("--neighbors", type=int, default=None)
-            p.add_argument("--gp-depth", dest="gp_depth", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, dest=FLAGS[flag], help=f"sets config key {FLAGS[flag]}")
 
     p_train = sub.add_parser("train", help="train on the synthetic desk-scale task")
     add_common(p_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on held-out pairs")
-    add_common(p_eval, with_train_flags=False)
+    add_common(p_eval, ["--seed"])
     p_eval.add_argument("--ckpt", required=True, help="checkpoint file")
     p_eval.add_argument("--out", default=None, help="directory for eval.csv")
 
     p_ablate = sub.add_parser("ablate", help="sweep depth, neighbor count and pseudo weight")
     add_common(p_ablate)
     p_ablate.add_argument("--axis", default="all", choices=["all", *AXES])
-    p_ablate.add_argument("--layers", default=None, help="comma list for the depth axis")
-    p_ablate.add_argument("--neighbors-grid", dest="neighbors_grid", default=None,
-                          help="comma list for the neighbor axis")
-    p_ablate.add_argument("--lambdas", default=None, help="comma list for the weight axis")
+    for axis, (flag, key, _, _) in AXES.items():
+        p_ablate.add_argument(flag, dest=axis, help=f"comma list of {key} values")
     return parser
 
 

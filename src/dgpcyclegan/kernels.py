@@ -7,12 +7,10 @@ of an L-layer composition collapses it to a single GP whose kernel obeys
     k_eff_l(x, y) = beta_l**2 / sqrt(1 + 2 * gamma_l**-2
                                        * (beta_{l-1}**2 - k_eff_{l-1}(x, y)))
 
-applied once per additional layer.  For the squared-exponential base the
+applied once per additional layer.  The family is chosen at layer 1 only;
+every later layer has the SE form of the recursion.  For the SE base the
 radicand stays >= 1, so the recursion is always finite; other layer-1
 families can push k above beta**2 and trip NonFiniteRecursion.
-
-Heterogeneous compositions place the alternative family at layer 1 and keep
-the recursion shape above for every later layer.
 
 Every function takes row stacks: (B, dim) vectors give B kernel values, and
 (B, n, dim) rows give a (B, n, m) Gram stack; no leading axis is a stack of one.
@@ -20,7 +18,7 @@ Every function takes row stacks: (B, dim) vectors give B kernel values, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +41,9 @@ class KernelSpec:
     """Per-layer kernel configuration of a depth-L composition.
 
     families[l], beta[l], gamma[l] configure layer l (layer 0 is the input
-    layer of the recursion).  noise_var is the additive observation noise on
-    the joint covariance; the GP prior mean is zero.
+    layer of the recursion).  families[0] is the layer-1 family; every later
+    layer is SE, the one form the recursion has.  noise_var is the additive
+    observation noise on the joint covariance; the GP prior mean is zero.
     """
 
     families: tuple[str, ...] = (SE, SE, SE, SE)
@@ -57,9 +56,10 @@ class KernelSpec:
             raise ValueError("kernel composition needs at least one layer")
         if not (len(self.beta) == len(self.gamma) == self.depth):
             raise ValueError("families, beta and gamma must have equal length")
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ValueError(f"unknown kernel family {fam!r}")
+        if self.families[0] not in FAMILIES:
+            raise ValueError(f"unknown kernel family {self.families[0]!r}")
+        if any(fam != SE for fam in self.families[1:]):
+            raise ValueError("layers above the first must be se: the depth recursion has only that form")
         if any(b <= 0 for b in self.beta) or any(g < GAMMA_MIN for g in self.gamma):
             raise ValueError(f"beta must be positive and gamma at least {GAMMA_MIN:g}")
         if self.noise_var < 0:
@@ -82,21 +82,13 @@ class KernelSpec:
         gamma: float = 1.0,
         noise_var: float = 0.01,
     ) -> "KernelSpec":
-        """Depth-L stack of one family with shared beta/gamma (default ratio 1)."""
+        """Depth-L stack with `family` at layer 1, SE above it, and shared beta/gamma."""
         return KernelSpec(
-            families=(family,) * depth,
+            families=(family,) + (SE,) * (depth - 1),
             beta=(beta,) * depth,
             gamma=(gamma,) * depth,
             noise_var=noise_var,
         )
-
-    @staticmethod
-    def heterogeneous(
-        first_family: str, depth: int = 2, beta: float = 1.0, gamma: float = 1.0, noise_var: float = 0.01
-    ) -> "KernelSpec":
-        """First layer uses `first_family`, the remaining layers the SE form."""
-        spec = KernelSpec.homogeneous(SE, depth, beta, gamma, noise_var)
-        return replace(spec, families=(first_family,) + spec.families[1:])
 
 
 def _scalar(k):

@@ -83,8 +83,8 @@ class TrainConfig:
         check_config(vars(self))
 
     def resolve_kernel(self) -> KernelSpec:
-        return KernelSpec.heterogeneous(
-            first_family=self.kernel_family,
+        return KernelSpec.homogeneous(
+            family=self.kernel_family,
             depth=self.gp_depth,
             beta=self.kernel_beta,
             gamma=self.kernel_gamma,

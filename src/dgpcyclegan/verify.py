@@ -536,7 +536,7 @@ def grads_suite() -> list:
             z_pred = draw.standard_normal(3)
             ids = np.arange(6)
             for family, depth in ((f, d) for f in ("se", "lin", "sc") for d in (1, 2, 3)):
-                spec = KernelSpec.heterogeneous(family, depth=depth, gamma=gamma)
+                spec = KernelSpec.homogeneous(family, depth=depth, gamma=gamma)
                 post = gp_condition(spec, bank, ids, q)
                 analytic = gp_supervisor.pseudo_loss_query_grad(spec, bank, post, q, z_pred)
                 numeric = fd_grad(lambda qv: pseudo_loss(gp_condition(spec, bank, ids, qv), z_pred), q.copy())

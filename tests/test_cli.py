@@ -11,6 +11,7 @@ import pytest
 from dgpcyclegan import gp_supervisor, trainer, verify
 from dgpcyclegan.cli import CONFIG_DEFAULTS, CONFIG_SCHEMA, build_run_config, main, parse_config_file
 from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
+from dgpcyclegan.nets import Discriminator, save_checkpoint
 from dgpcyclegan_console import BLAS_THREAD_VARS
 
 FAST_KEYS = """
@@ -151,6 +152,26 @@ def test_train_refuses_negative_seed_flag(fast_config, tmp_path, capsys):
     assert main(["train", "--config", str(fast_config), "--out", str(out), "--seed", "-1"]) == 2
     assert "seed must be at least 0" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("train", "--seed", "x"),
+        ("train", "--epochs", "1.5"),
+        ("train", "--lambda-p", "x"),
+        ("train", "--neighbors", "2.5"),
+        ("train", "--gp-depth", "x"),
+        ("eval", "--seed", "x"),
+    ],
+)
+def test_bad_flag_value_is_a_config_error(fast_config, tmp_path, capsys, command, flag, text):
+    # A flag's text is converted like its key's file value, not by the argument parser.
+    out = tmp_path / "run"
+    where = ["--out", str(out)] if command == "train" else ["--ckpt", str(tmp_path / "none.bin")]
+    assert main([command, "--config", str(fast_config), *where, flag, text]) == 2
+    assert f"config error: bad value for {flag}: {text!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- verify command ----------------------------------------------------------
@@ -354,6 +375,13 @@ def test_eval_refuses_a_checkpoint_of_another_image_size(fast_config, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("config error: img_side = 12") and "144" in err and "256" in err
     assert not (tmp_path / "ev").exists()
+
+
+def test_eval_refuses_a_checkpoint_whose_gen_wc_is_not_a_generator(tmp_path, capsys):
+    path = tmp_path / "disc.bin"
+    save_checkpoint(path, {"gen_wc": Discriminator(1024, hidden=(4,))})
+    assert main(["eval", "--ckpt", str(path)]) == 2
+    assert "has no weather-to-clean generator" in capsys.readouterr().err
 
 
 def checkpoint_bytes(name: bytes, kind: int, widths, taps, n_params: int) -> bytes:

@@ -255,7 +255,7 @@ def test_pseudo_loss_is_minimized_at_pseudo_label():
 @pytest.mark.parametrize("family", ["se", "lin", "sc"])
 def test_query_grad_matches_finite_differences(family, depth):
     rng = np.random.default_rng(42)
-    spec = KernelSpec.heterogeneous(family, depth=depth)
+    spec = KernelSpec.homogeneous(family, depth=depth)
     bank = FeatureBank("clean", s=rng.standard_normal((6, 4)) * 0.6, z=rng.standard_normal((6, 3)))
     q = rng.standard_normal(4) * 0.6
     z_pred = rng.standard_normal(3)

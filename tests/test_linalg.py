@@ -110,16 +110,6 @@ def test_solve_identity():
     assert np.array_equal(solve_posdef(f, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
-def test_solve_random_pd_residual():
-    rng = np.random.default_rng(7)
-    a = random_pd(rng, 6)
-    b = rng.standard_normal(6)
-    f = cholesky(a)
-    x = solve_posdef(f, b)
-    res = np.linalg.norm((a + f.jitter_used * np.eye(6)) @ x - b)
-    assert res <= 1e-8 * (1.0 + np.linalg.norm(b))
-
-
 def test_solve_matrix_rhs_and_dimension_check():
     rng = np.random.default_rng(8)
     a = random_pd(rng, 4)
@@ -141,12 +131,3 @@ def test_solve_residual_property_200_cases():
         x = solve_posdef(f, b)
         res = np.linalg.norm((a + f.jitter_used * np.eye(n)) @ x - b)
         assert res <= 1e-8 * (1.0 + np.linalg.norm(b))
-
-
-def test_factor_roundtrip_property():
-    rng = np.random.default_rng(12)
-    for n in range(1, 17):
-        a = random_pd(rng, n)
-        f = cholesky(a)
-        err = np.max(np.abs(f.lower @ f.lower.T - (a + f.jitter_used * np.eye(n))))
-        assert err <= 1e-10 * np.max(np.abs(a))
