@@ -34,6 +34,9 @@ FAMILIES = (SE, LIN, SC)
 LIN_BIAS = 1e-6
 # Smallest length scale: above it gamma**2 does not underflow and 2 / gamma**2 stays finite.
 GAMMA_MIN = 1e-150
+# Largest scale and noise: below them beta**2 + noise_var, each sigma^2's ceiling, stays below 2e300.
+BETA_MAX = 1e150
+NOISE_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -60,10 +63,10 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.families[0]!r}")
         if any(fam != SE for fam in self.families[1:]):
             raise ValueError("layers above the first must be se: the depth recursion has only that form")
-        if any(b <= 0 for b in self.beta) or any(g < GAMMA_MIN for g in self.gamma):
-            raise ValueError(f"beta must be positive and gamma at least {GAMMA_MIN:g}")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be non-negative")
+        if any(not 0 < b <= BETA_MAX for b in self.beta) or any(g < GAMMA_MIN for g in self.gamma):
+            raise ValueError(f"beta must be positive and at most {BETA_MAX:g}, and gamma at least {GAMMA_MIN:g}")
+        if not 0 <= self.noise_var <= NOISE_MAX:
+            raise ValueError(f"noise_var must be non-negative and at most {NOISE_MAX:g}")
 
     @property
     def depth(self) -> int:

@@ -24,6 +24,12 @@ discriminator on its own least-squares objective against the pre-update
 fakes.  With lambda_p = 0 the pseudo path contributes no gradient, and with
 the supervisor disabled it is skipped entirely; both produce bit-identical
 parameter trajectories.
+
+train_epoch runs one epoch: learning rate, banks, shuffled steps, the sigma^2
+mean and the held-out scores; write_epoch_outputs writes its sample strips and
+checkpoint, and train_run loops over the two.  TrainState holds the whole run:
+nets, Adam states, the shuffle generator and the EpochStats history, whose
+length is the next epoch.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .gp_supervisor import (
     pseudo_loss_grad,
     pseudo_loss_query_grad,
 )
-from .kernels import FAMILIES, GAMMA_MIN, KernelSpec
+from .kernels import BETA_MAX, FAMILIES, GAMMA_MIN, NOISE_MAX, KernelSpec
 from .nets import AdamState, Discriminator, Generator, adam_step, save_checkpoint
 
 
@@ -105,8 +111,9 @@ def _parse_ints(v: str) -> tuple:
 
 POSITIVE, WIDTHS = "positive", "widths"
 
-# Every config key -> (converter, rule).  A rule is a minimum, POSITIVE, WIDTHS
-# (every width at least 1), a tuple of choices or None; a float is also finite.
+# Every config key -> (converter, rule).  A rule is a minimum, POSITIVE, a (POSITIVE,
+# maximum) pair, WIDTHS (every width at least 1), a tuple of choices or None; a
+# float is also finite.
 # Each key's default is the field it sets (cli.CONFIG_DEFAULTS).  Values are
 # checked when the config is built, so a bad config never fails mid-run.
 CONFIG_SCHEMA = {
@@ -122,10 +129,10 @@ CONFIG_SCHEMA = {
     "dgp": (_parse_bool, None),
     "grad_through_query": (_parse_bool, None),
     "kernel_family": (str, FAMILIES),
-    "kernel_beta": (float, POSITIVE),
+    "kernel_beta": (float, (POSITIVE, BETA_MAX)),
     "kernel_gamma": (float, GAMMA_MIN),
     # The pseudo loss takes the log of the posterior variance, whose floor is noise_var.
-    "noise_var": (float, POSITIVE),
+    "noise_var": (float, (POSITIVE, NOISE_MAX)),
     "img_side": (int, 1),
     "gen_hidden": (_parse_ints, WIDTHS),
     "disc_hidden": (_parse_ints, WIDTHS),
@@ -157,7 +164,9 @@ def check_config(values: dict) -> None:
             raise ConfigError(f"{key} must be finite, got {value!r}")
         if rule is None:
             continue
-        if isinstance(rule, tuple):
+        if isinstance(rule, tuple) and rule[0] == POSITIVE:
+            ok, need = 0 < value <= rule[1], f"be positive and at most {rule[1]:g}"
+        elif isinstance(rule, tuple):
             ok, need = value in rule, f"be one of {', '.join(rule)}"
         elif rule == POSITIVE:
             ok, need = value > 0, "be positive"
@@ -200,14 +209,14 @@ class EpochBanks(NamedTuple):
 
 @dataclass
 class TrainState:
-    """Networks, optimizer states and the one gradient buffer every step reuses.
+    """Networks, optimizer states, the run's shuffle and history, and the one gradient buffer every step reuses.
 
     grad is a single float64 vector as long as the largest net.  train_step
     forms each net's parameter gradient in its leading slice (grad_for) right
     before that net's Adam step, in the order gen_wc, gen_cw, disc_c, disc_w,
     and Adam uses it as scratch; so the four nets use the buffer in turn and
     no gradient outlives its update.  step counts the steps taken and epoch is
-    the one train_run is in; NonFiniteLoss and NonFiniteGradient name both.
+    the one train_epoch is in; NonFiniteLoss and NonFiniteGradient name both.
     """
 
     gen_wc: Generator
@@ -216,9 +225,11 @@ class TrainState:
     disc_w: Discriminator
     opt: dict
     kernel: KernelSpec
+    shuffle: np.random.Generator
     step: int = 0
     epoch: int = 0
     sigma2_log: list = field(default_factory=list)
+    history: list = field(default_factory=list)
     grad: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -383,23 +394,17 @@ def discriminator_step_terms(disc: Discriminator, real, fake, want_grads: bool =
 
 
 def init_state(config: TrainConfig) -> TrainState:
-    """Seed-deterministic networks and optimizer states."""
-    ss = np.random.SeedSequence(config.seed)
-    s_wc, s_cw, s_dc, s_dw = ss.spawn(4)
+    """Seed-deterministic networks, optimizer states and shuffle generator."""
+    rng_wc, rng_cw, rng_dc, rng_dw, shuffle = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(5))
     in_dim = config.img_side * config.img_side
-    gen_wc = Generator(in_dim, config.gen_hidden, config.tap_s, config.tap_z,
-                       rng=np.random.default_rng(s_wc))
-    gen_cw = Generator(in_dim, config.gen_hidden, config.tap_s, config.tap_z,
-                       rng=np.random.default_rng(s_cw))
-    disc_c = Discriminator(in_dim, config.disc_hidden, rng=np.random.default_rng(s_dc))
-    disc_w = Discriminator(in_dim, config.disc_hidden, rng=np.random.default_rng(s_dw))
-    opt = {
-        "gen_wc": AdamState.for_params(gen_wc.params, config.lr),
-        "gen_cw": AdamState.for_params(gen_cw.params, config.lr),
-        "disc_c": AdamState.for_params(disc_c.params, config.lr),
-        "disc_w": AdamState.for_params(disc_w.params, config.lr),
-    }
-    return TrainState(gen_wc, gen_cw, disc_c, disc_w, opt, config.resolve_kernel())
+    nets = dict(
+        gen_wc=Generator(in_dim, config.gen_hidden, config.tap_s, config.tap_z, rng=rng_wc),
+        gen_cw=Generator(in_dim, config.gen_hidden, config.tap_s, config.tap_z, rng=rng_cw),
+        disc_c=Discriminator(in_dim, config.disc_hidden, rng=rng_dc),
+        disc_w=Discriminator(in_dim, config.disc_hidden, rng=rng_dw),
+    )
+    opt = {name: AdamState.for_params(net.params, config.lr) for name, net in nets.items()}
+    return TrainState(**nets, opt=opt, kernel=config.resolve_kernel(), shuffle=shuffle)
 
 
 def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, config: TrainConfig) -> LossBreakdown:
@@ -476,70 +481,68 @@ def evaluate(gen_wc: Generator, weather, clean) -> tuple[list, list]:
     return [psnr(r, c) for r, c in zip(restored, clean)], [ssim(r, c) for r, c in zip(restored, clean)]
 
 
-def train_run(
-    config: TrainConfig,
-    data: DeskData,
-    out_dir=None,
-    checkpoint_interval: int = 10,
-    sample_count: int = 3,
-):
-    """Full training run; returns (state, per-epoch history).
+def _scores_heldout(epoch: int, data: DeskData, config: TrainConfig) -> bool:
+    """Whether epoch scores the held-out pairs and writes their sample strips."""
+    return len(data.eval_weather) > 0 and (epoch % config.eval_interval == 0 or epoch == config.epochs - 1)
 
-    When out_dir is given, writes metrics.csv, periodic checkpoints and
-    input/restored/target sample triptychs.
-    """
+
+def train_epoch(state: TrainState, data: DeskData, config: TrainConfig) -> EpochStats:
+    """Train the epoch after state.history on banks of its start weights; append its EpochStats there, return it."""
+    state.epoch = epoch = len(state.history)
+    lr = lr_at(epoch, config)
+    for opt_state in state.opt.values():
+        opt_state.lr = lr
+    banks = (build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
+             if config.dgp_enabled else None)
+
+    order_w = state.shuffle.permutation(len(data.weather_train))
+    order_c = state.shuffle.permutation(len(data.clean_train))
+    batches = range(0, min(len(order_w), len(order_c)), config.batch_size)
+    state.sigma2_log.clear()
+    comp_sums = np.zeros(len(LOSS_FIELDS))
+    for start in batches:
+        iw_batch = [data.weather_train[i] for i in order_w[start : start + config.batch_size]]
+        ic_batch = [data.clean_train[i] for i in order_c[start : start + config.batch_size]]
+        comp_sums += astuple(train_step(iw_batch, ic_batch, banks, state, config))
+
+    mean_sigma2 = float(np.mean(state.sigma2_log)) if state.sigma2_log else float("nan")
+    ep_psnr = ep_ssim = float("nan")
+    if _scores_heldout(epoch, data, config):
+        psnrs, ssims = evaluate(state.gen_wc, data.eval_weather, data.eval_clean)
+        ep_psnr, ep_ssim = float(np.mean(psnrs)), float(np.mean(ssims))
+    means = dict(zip(LOSS_FIELDS, comp_sums / len(batches)))
+    state.history.append(EpochStats(**means, epoch=epoch, lr=lr, mean_sigma2=mean_sigma2, psnr=ep_psnr, ssim=ep_ssim))
+    return state.history[-1]
+
+
+def write_epoch_outputs(out: Path, state: TrainState, data: DeskData, config: TrainConfig,
+                        checkpoint_interval: int, sample_count: int) -> None:
+    """Input/restored/target sample strips of a scored epoch and the checkpoint due at state.epoch."""
+    epoch = state.epoch
+    if sample_count > 0 and _scores_heldout(epoch, data, config):
+        weather, clean = data.eval_weather[:sample_count], data.eval_clean[:sample_count]
+        strips = np.concatenate([weather, state.gen_wc.restore(weather), clean], axis=2)
+        for i, strip in enumerate(strips):
+            write_pgm(out / f"sample_{epoch}_{i}.pgm", strip)
+    if (epoch + 1) % checkpoint_interval == 0 or epoch == config.epochs - 1:
+        save_checkpoint(out / f"ckpt_{epoch}.bin", state.nets, step=state.step)
+
+
+def train_run(config: TrainConfig, data: DeskData, out_dir=None, checkpoint_interval: int = 10, sample_count: int = 3):
+    """Full training run; returns (state, state.history).  With out_dir it writes metrics.csv and each epoch's outputs."""
     if not len(data.clean_train) or not len(data.weather_train):
         raise EmptyDataset("training sets must be non-empty")
     state = init_state(config)
-    rng_shuffle = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(5)[4])
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-
-    history = []
-    for epoch in range(config.epochs):
-        lr = lr_at(epoch, config)
-        state.epoch = epoch
-        for opt_state in state.opt.values():
-            opt_state.lr = lr
-
-        banks = None
-        if config.dgp_enabled:
-            banks = build_epoch_banks(data.weather_train, data.clean_train, state.gen_wc, state.gen_cw)
-
-        order_w = rng_shuffle.permutation(len(data.weather_train))
-        order_c = rng_shuffle.permutation(len(data.clean_train))
-        n_pairs = min(len(order_w), len(order_c))
-
-        state.sigma2_log.clear()
-        batches = range(0, n_pairs, config.batch_size)
-        comp_sums = np.zeros(len(LOSS_FIELDS))
-        for start in batches:
-            iw_batch = [data.weather_train[i] for i in order_w[start : start + config.batch_size]]
-            ic_batch = [data.clean_train[i] for i in order_c[start : start + config.batch_size]]
-            comp_sums += astuple(train_step(iw_batch, ic_batch, banks, state, config))
-
-        mean_sigma2 = float(np.mean(state.sigma2_log)) if state.sigma2_log else float("nan")
-        do_eval = epoch % config.eval_interval == 0 or epoch == config.epochs - 1
-        ep_psnr = ep_ssim = float("nan")
-        if do_eval and len(data.eval_weather):
-            psnrs, ssims = evaluate(state.gen_wc, data.eval_weather, data.eval_clean)
-            ep_psnr, ep_ssim = float(np.mean(psnrs)), float(np.mean(ssims))
-        means = dict(zip(LOSS_FIELDS, comp_sums / len(batches)))
-        history.append(EpochStats(**means, epoch=epoch, lr=lr, mean_sigma2=mean_sigma2, psnr=ep_psnr, ssim=ep_ssim))
-
+    for _ in range(config.epochs):
+        train_epoch(state, data, config)
         if out is not None:
-            if do_eval and sample_count > 0 and len(data.eval_weather):
-                weather, clean = data.eval_weather[:sample_count], data.eval_clean[:sample_count]
-                strips = np.concatenate([weather, state.gen_wc.restore(weather), clean], axis=2)
-                for i, strip in enumerate(strips):
-                    write_pgm(out / f"sample_{epoch}_{i}.pgm", strip)
-            if (epoch + 1) % checkpoint_interval == 0 or epoch == config.epochs - 1:
-                save_checkpoint(out / f"ckpt_{epoch}.bin", state.nets, step=state.step)
-
+            write_epoch_outputs(out, state, data, config, checkpoint_interval, sample_count)
     if out is not None:
-        write_metrics_csv(out / "metrics.csv", history)
-    return state, history
+        write_metrics_csv(out / "metrics.csv", state.history)
+    return state, state.history
 
 
 def write_metrics_csv(path, history) -> None:

@@ -131,6 +131,9 @@ def test_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
         ("lr = nan", "lr"),
         ("lambda_p = inf", "lambda_p"),
         ("kernel_beta = inf", "kernel_beta"),
+        ("kernel_beta = 1e160", "kernel_beta"),  # beta**2 overflows
+        ("kernel_beta = 1.3e154", "kernel_beta"),  # the sigma^2 mean overflows
+        ("noise_var = 1e308", "noise_var"),  # the sigma^2 mean overflows
         ("streak_amplitude = nan", "streak_amplitude"),
         ("streak_count = -3", "streak_count"),
         ("streak_amplitude = -0.5", "streak_amplitude"),

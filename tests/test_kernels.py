@@ -175,6 +175,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(families=("se",), beta=(1.0,), gamma=(1e-300,))  # gamma**2 underflows to 0
     with pytest.raises(ValueError):
+        KernelSpec(families=("se",), beta=(1e160,), gamma=(1.0,))  # beta**2 overflows
+    with pytest.raises(ValueError):
         KernelSpec(families=("bogus",), beta=(1.0,), gamma=(1.0,))
     with pytest.raises(ValueError):
         KernelSpec(families=("se", "lin"), beta=(1.0, 1.0), gamma=(1.0, 1.0))  # the recursion is se above layer 1

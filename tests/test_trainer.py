@@ -18,6 +18,7 @@ from dgpcyclegan.trainer import (
     generator_step_terms,
     init_state,
     lr_at,
+    train_epoch,
     train_run,
     train_step,
     write_metrics_csv,
@@ -326,6 +327,21 @@ def test_metrics_csv_deterministic(tmp_path):
         return path.read_bytes()
 
     assert run(tmp_path / "a.csv") == run(tmp_path / "b.csv")
+
+
+def test_train_epochs_on_one_state_are_train_run():
+    # The state holds the shuffle and the history, so epochs run one call at a time.
+    cfg = small_config(epochs=2, img_side=12)
+    d = small_data(n=6, side=12)
+    data = DeskData(d.clean_train, d.weather_train, eval_weather=d.weather_train[:2], eval_clean=d.clean_train[:2])
+    run_state, run_hist = train_run(cfg, data)
+    state = init_state(cfg)
+    rows = [train_epoch(state, data, cfg) for _ in range(cfg.epochs)]
+    assert rows == run_hist == state.history
+    assert all(np.isfinite(r.psnr) and np.isfinite(r.mean_sigma2) for r in rows)
+    for name, net in state.nets.items():
+        assert np.array_equal(net.params, run_state.nets[name].params)
+    assert (state.step, state.epoch) == (run_state.step, run_state.epoch)
 
 
 def test_sigma2_logged_only_when_supervisor_enabled():
