@@ -22,7 +22,7 @@ import numpy as np
 # here because perfbench's trace wraps them at this module.
 from .data_metrics import DegradeSpec, make_eval_pairs, make_unpaired_sets, psnr, ssim  # noqa: F401
 from .errors import ConfigError, DgpError
-from .fileio import atomic_open
+from .fileio import write_csv
 from .nets import Generator, load_checkpoint
 from .trainer import CONFIG_SCHEMA, DeskData, TrainConfig, check_config, evaluate, train_run
 
@@ -198,10 +198,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with atomic_open(out / "eval.csv", "w", encoding="utf-8") as fh:
-            fh.write("pair,psnr,ssim\n")
-            for i, (p, s) in enumerate(zip(psnrs, ssims)):
-                fh.write(f"{i},{p!r},{s!r}\n")
+        write_csv(out / "eval.csv", ("pair", "psnr", "ssim"), zip(range(len(psnrs)), psnrs, ssims))
     print(f"eval: step {step}, {len(psnrs)} pairs, psnr {np.mean(psnrs):.3f} dB, ssim {np.mean(ssims):.4f}")
     return 0
 
@@ -229,14 +226,13 @@ def cmd_ablate(args) -> int:
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for key, csv_name, points in sweeps:
-        lines = [f"{key},psnr,ssim"]
+        rows = []
         for value, sub in points:
             _, history = run_experiment(sub, out_dir=None)
             p, s = final_metrics(history)
-            lines.append(f"{value},{p!r},{s!r}")
+            rows.append((value, p, s))
             print(f"ablate: {key}={value} -> psnr {p:.3f} dB, ssim {s:.4f}")
-        with atomic_open(out / csv_name, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(out / csv_name, (key, "psnr", "ssim"), rows)
     return 0
 
 

@@ -13,8 +13,11 @@ the input's shape, taps are (B, dim), scores (B,); backward sums parameter
 gradients over the rows.  A single sample without the leading axis runs as a
 stack of one, and its taps and score drop that axis.
 
-All forward passes cache activations for exactly one matching backward
-call; a cache from another network raises CacheMismatch.  Generator.taps
+All forward passes cache post-activations for exactly one matching
+backward call; a cache from another network raises CacheMismatch.  The
+backward mask of each leaky stage comes from its post-activation, which is
+positive exactly where the pre-activation is, so no pre-activation is kept.
+Generator.forward's taps are views of its cache, not copies.  Generator.taps
 is the stage-limited pass for callers that read only the latents: the same
 per-stage arithmetic, run only up to tap_z, keeping only the two tap
 activations and no cache, so it is bit for bit forward's s and z.
@@ -70,9 +73,8 @@ class FwdCache:
     owner: int
     x_shape: tuple
     lead: tuple  # (B,) for a row stack, () for a single sample
-    acts: list  # acts[0] is the (B, width) input, acts[i] the post-activation of stage i
-    pres: list  # pre-activations per stage
-    dpres: list | None = None  # gradients wrt pres, set by the backward chain
+    acts: list  # acts[0] is the (B, width) input, acts[i] the post-activation of stage i and its backward mask
+    dpres: list | None = None  # gradients wrt each stage's pre-activation, set by the backward chain
 
 
 class DenseStack:
@@ -114,10 +116,9 @@ class DenseStack:
     def _run(self, x, stages: int | None = None, keep=None) -> FwdCache:
         """Forward through the first `stages` stages (all by default).
 
-        With keep=None every activation and pre-activation goes into the
-        cache for backward.  Otherwise the cache holds only acts[i] for i in
-        keep (None elsewhere) and no pre-activation, so each stage's arrays
-        are freed while the next one runs.
+        With keep=None every post-activation goes into the cache for
+        backward.  Otherwise the cache holds only acts[i] for i in keep (None
+        elsewhere), so each stage's arrays are freed while the next one runs.
         """
         x = np.asarray(x, dtype=float)
         width = self.widths[0]
@@ -126,15 +127,12 @@ class DenseStack:
             raise ShapeMismatch(f"input has {x.size} values, expected {width} per row")
         a = x.reshape(-1, width)
         acts = [a if keep is None or 0 in keep else None]
-        pres = []
         last = self.n_stages - 1
         for i, (w_sl, b_sl, fan_in, fan_out) in enumerate(self._slices[:stages]):
             pre = a @ self.params[w_sl].reshape(fan_in, fan_out) + self.params[b_sl]
             a = pre if i == last else _leaky(pre)
-            if keep is None:
-                pres.append(pre)
             acts.append(a if keep is None or i + 1 in keep else None)
-        return FwdCache(owner=id(self), x_shape=x.shape, lead=lead, acts=acts, pres=pres)
+        return FwdCache(owner=id(self), x_shape=x.shape, lead=lead, acts=acts)
 
     def _backprop(self, cache: FwdCache, grad_out, tap_grads=None, out=None, param_grads=True, input_grad=True):
         """Walk the stack backwards, returning (flat param grads summed over rows, grad wrt input).
@@ -154,7 +152,7 @@ class DenseStack:
         for i in range(last, -1, -1):
             if tap_grads is not None and (i + 1) in tap_grads:
                 g = g + np.asarray(tap_grads[i + 1], dtype=float).reshape(rows, -1)
-            dpre = g if i == last else g * _leaky_deriv(cache.pres[i])
+            dpre = g if i == last else g * _leaky_deriv(cache.acts[i + 1])
             cache.dpres[i] = dpre
             if i > 0 or input_grad:
                 w_sl, _, fan_in, fan_out = self._slices[i]
@@ -202,10 +200,10 @@ class Generator(DenseStack):
         self.tap_z = int(tap_z)
 
     def forward(self, x):
-        """Returns (y, s, z, cache) with y shaped like x and taps (B, dim)."""
+        """Returns (y, s, z, cache) with y shaped like x and taps (B, dim), views of the cache."""
         cache = self._run(x)
         y = cache.acts[-1].reshape(cache.x_shape)
-        s, z = (cache.acts[t].reshape(cache.lead + (-1,)).copy() for t in (self.tap_s, self.tap_z))
+        s, z = (cache.acts[t].reshape(cache.lead + (-1,)) for t in (self.tap_s, self.tap_z))
         return y, s, z, cache
 
     def taps(self, x):

@@ -28,8 +28,9 @@ parameter trajectories.
 train_epoch runs one epoch: learning rate, banks, shuffled steps, the sigma^2
 mean and the held-out scores; write_epoch_outputs writes its sample strips and
 checkpoint, and train_run loops over the two.  TrainState holds the whole run:
-nets, Adam states, the shuffle generator and the EpochStats history, whose
-length is the next epoch.
+nets, Adam states, the shuffle generator, the EpochStats history and the step
+count.  The epoch is the history's length: the one running while train_epoch
+runs, and the next one after it returns.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .data_metrics import SSIM_WINDOW, _pixels, psnr, ssim, write_pgm
 from .errors import ConfigError, EmptyDataset, NonFiniteGradient, NonFiniteLoss
-from .fileio import atomic_open
+from .fileio import write_csv
 from .gp_supervisor import (
     FeatureBank,
     bank_build,
@@ -215,8 +216,8 @@ class TrainState:
     forms each net's parameter gradient in its leading slice (grad_for) right
     before that net's Adam step, in the order gen_wc, gen_cw, disc_c, disc_w,
     and Adam uses it as scratch; so the four nets use the buffer in turn and
-    no gradient outlives its update.  step counts the steps taken and epoch is
-    the one train_epoch is in; NonFiniteLoss and NonFiniteGradient name both.
+    no gradient outlives its update.  step counts the steps taken; the epoch
+    is len(history), and NonFiniteLoss and NonFiniteGradient name both.
     """
 
     gen_wc: Generator
@@ -227,7 +228,6 @@ class TrainState:
     kernel: KernelSpec
     shuffle: np.random.Generator
     step: int = 0
-    epoch: int = 0
     sigma2_log: list = field(default_factory=list)
     history: list = field(default_factory=list)
     grad: np.ndarray = field(init=False, repr=False)
@@ -413,24 +413,24 @@ def train_step(iw_batch, ic_batch, banks: EpochBanks | None, state: TrainState, 
     Gradients are batch means; generators update first, then each
     discriminator on its own objective against the pre-update fakes.  Each
     net's gradient is formed in the state's one buffer right before its Adam
-    step, which updates in place.  A non-finite loss term raises
-    NonFiniteLoss before any parameter moves; a gradient whose squared norm
-    is not finite raises NonFiniteGradient before that net moves.
+    step, which updates in place.  banks=None means no supervisor: no pseudo
+    terms and no sigma^2 record.  A non-finite loss term raises NonFiniteLoss
+    before any parameter moves; a gradient whose squared norm is not finite
+    raises NonFiniteGradient before that net moves.
     """
     iw, ic = _pixels(iw_batch), _pixels(ic_batch)
-    use_banks = banks if config.dgp_enabled else None
     comps, caches_wc, caches_cw, (post_f, post_r), (fake_c, fake_w) = generator_step_terms(
         state.gen_wc, state.gen_cw, state.disc_c, state.disc_w, iw, ic,
         lambda_p=config.lambda_p,
         kernel=state.kernel,
-        banks=use_banks,
+        banks=banks,
         n_neighbors=config.n_neighbors,
         grad_through_query=config.grad_through_query,
     )
     bad = next((name for name in LOSS_FIELDS if not np.isfinite(comps[name])), None)
     if bad is not None:
-        raise NonFiniteLoss(f"loss term {bad} is {comps[bad]} at epoch {state.epoch}, step {state.step}")
-    if use_banks is not None:
+        raise NonFiniteLoss(f"loss term {bad} is {comps[bad]} at epoch {len(state.history)}, step {state.step}")
+    if banks is not None:
         state.sigma2_log.extend([*post_f.variance, *post_r.variance])
 
     # param_grads_from reads only the caches, and the discriminator terms read
@@ -457,7 +457,7 @@ def _update(state: TrainState, name: str, grads: np.ndarray) -> None:
         norm2 = np.dot(grads, grads)
     if not np.isfinite(norm2):
         raise NonFiniteGradient(
-            f"gradient of {name} has squared norm {norm2} at epoch {state.epoch}, step {state.step}"
+            f"gradient of {name} has squared norm {norm2} at epoch {len(state.history)}, step {state.step}"
         )
     adam_step(state.opt[name], getattr(state, name).params, grads)
 
@@ -488,7 +488,7 @@ def _scores_heldout(epoch: int, data: DeskData, config: TrainConfig) -> bool:
 
 def train_epoch(state: TrainState, data: DeskData, config: TrainConfig) -> EpochStats:
     """Train the epoch after state.history on banks of its start weights; append its EpochStats there, return it."""
-    state.epoch = epoch = len(state.history)
+    epoch = len(state.history)
     lr = lr_at(epoch, config)
     for opt_state in state.opt.values():
         opt_state.lr = lr
@@ -517,8 +517,8 @@ def train_epoch(state: TrainState, data: DeskData, config: TrainConfig) -> Epoch
 
 def write_epoch_outputs(out: Path, state: TrainState, data: DeskData, config: TrainConfig,
                         checkpoint_interval: int, sample_count: int) -> None:
-    """Input/restored/target sample strips of a scored epoch and the checkpoint due at state.epoch."""
-    epoch = state.epoch
+    """Input/restored/target sample strips of the last epoch, if scored, and its checkpoint, if due."""
+    epoch = state.history[-1].epoch
     if sample_count > 0 and _scores_heldout(epoch, data, config):
         weather, clean = data.eval_weather[:sample_count], data.eval_clean[:sample_count]
         strips = np.concatenate([weather, state.gen_wc.restore(weather), clean], axis=2)
@@ -547,13 +547,4 @@ def train_run(config: TrainConfig, data: DeskData, out_dir=None, checkpoint_inte
 
 def write_metrics_csv(path, history) -> None:
     """Per-epoch CSV in the documented column order."""
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in history:
-            fh.write(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    write_csv(path, CSV_COLUMNS, ([getattr(row, col) for col in CSV_COLUMNS] for row in history))

@@ -273,6 +273,25 @@ def test_train_stops_on_a_non_finite_loss(fast_config, tmp_path, capsys, monkeyp
     assert not (out / "metrics.csv").exists()
 
 
+def test_train_names_the_epoch_after_the_first_in_a_stop_message(fast_config, tmp_path, capsys, monkeypatch):
+    # NaN in the weather-to-clean output bias once epoch 0 has ended: epoch 1's first step stops.
+    real_train_epoch = trainer.train_epoch
+    steps_of_epoch_0 = []
+
+    def nan_before_epoch_1(state, data, config):
+        if len(state.history) == 1:
+            state.gen_wc.params[-1] = np.nan
+            steps_of_epoch_0.append(state.step)
+        return real_train_epoch(state, data, config)
+
+    monkeypatch.setattr(trainer, "train_epoch", nan_before_epoch_1)
+    out = tmp_path / "nan"
+    assert main(["train", "--config", str(fast_config), "--out", str(out)]) == 1
+    assert steps_of_epoch_0 == [4]  # 8 pairs in batches of 2
+    assert capsys.readouterr().err == "error: loss term cyc_w is nan at epoch 1, step 4\n"
+    assert not (out / "metrics.csv").exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_train_stops_on_a_non_finite_gradient(tmp_path, capsys):
     # lambda_p = 1e300 keeps every loss term finite, but the generators'

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgpcyclegan.fileio import atomic_open
+from dgpcyclegan.fileio import atomic_open, write_csv
 from dgpcyclegan.nets import Discriminator, load_checkpoint, save_checkpoint
 from dgpcyclegan.trainer import write_metrics_csv
 
@@ -38,3 +38,9 @@ def test_failed_metrics_and_checkpoint_writes_keep_the_earlier_files(tmp_path):
     assert (csv.read_bytes(), ckpt.read_bytes()) == before
     assert load_checkpoint(ckpt)[1] == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "metrics.csv"]
+
+
+def test_write_csv_writes_a_numpy_float_as_its_plain_repr(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("pair", "psnr"), [(0, np.float64(0.1)), (1, 2.5)])
+    assert path.read_text(encoding="utf-8") == "pair,psnr\n0,0.1\n1,2.5\n"

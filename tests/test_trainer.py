@@ -341,7 +341,7 @@ def test_train_epochs_on_one_state_are_train_run():
     assert all(np.isfinite(r.psnr) and np.isfinite(r.mean_sigma2) for r in rows)
     for name, net in state.nets.items():
         assert np.array_equal(net.params, run_state.nets[name].params)
-    assert (state.step, state.epoch) == (run_state.step, run_state.epoch)
+    assert state.step == run_state.step
 
 
 def test_sigma2_logged_only_when_supervisor_enabled():
