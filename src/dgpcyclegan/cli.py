@@ -103,8 +103,7 @@ def build_run_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         values["data_seed"] = values["seed"]
     check_config(values)
 
-    dgp_on = values["dgp"]
-    train = _from_keys(TrainConfig, values, lambda_p=values["lambda_p"] if dgp_on else 0.0, dgp_enabled=dgp_on)
+    train = _from_keys(TrainConfig, values, dgp_enabled=values["dgp"])
     degrade = _from_keys(DegradeSpec, values, seed=values["data_seed"])
     return _from_keys(RunConfig, values, train=train, degrade=degrade)
 
@@ -122,14 +121,9 @@ def build_desk_data(rc: RunConfig) -> DeskData:
 
 
 def final_metrics(history) -> tuple:
-    """Held-out score of a run: mean PSNR/SSIM over the last 5 evaluated epochs."""
-    rows = [h for h in history if np.isfinite(h.psnr)][-5:]
-    if not rows:
-        return float("nan"), float("nan")
-    return (
-        float(np.mean([h.psnr for h in rows])),
-        float(np.mean([h.ssim for h in rows])),
-    )
+    """Held-out score of a run: mean PSNR/SSIM over its last 5 epochs."""
+    rows = history[-5:]
+    return float(np.mean([h.psnr for h in rows])), float(np.mean([h.ssim for h in rows]))
 
 
 def run_experiment(rc: RunConfig, out_dir=None):
@@ -225,11 +219,16 @@ def cmd_ablate(args) -> int:
         sweeps.append((key, csv_name, [(v, _load_run_config(args, True, **{key: v})) for v in values]))
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # The base config's point sits on every axis whose grid holds its value; it trains once.
+    scored = []  # (RunConfig, (psnr, ssim)) of each run trained so far
     for key, csv_name, points in sweeps:
         rows = []
         for value, sub in points:
-            _, history = run_experiment(sub, out_dir=None)
-            p, s = final_metrics(history)
+            score = next((ps for done, ps in scored if done == sub), None)
+            if score is None:
+                score = final_metrics(run_experiment(sub, out_dir=None)[1])
+                scored.append((sub, score))
+            p, s = score
             rows.append((value, p, s))
             print(f"ablate: {key}={value} -> psnr {p:.3f} dB, ssim {s:.4f}")
         write_csv(out / csv_name, (key, "psnr", "ssim"), rows)

@@ -22,15 +22,15 @@ with L1 cycle and identity terms, least-squares adversarial terms and the
 GP pseudo losses.  Generators are updated on that objective, each domain
 discriminator on its own least-squares objective against the pre-update
 fakes.  With lambda_p = 0 the pseudo path contributes no gradient, and with
-the supervisor disabled it is skipped entirely; both produce bit-identical
-parameter trajectories.
+the supervisor disabled it is skipped entirely, whatever lambda_p is; both
+produce bit-identical parameter trajectories.
 
 train_epoch runs one epoch: learning rate, banks, shuffled steps, the sigma^2
-mean and the held-out scores; write_epoch_outputs writes its sample strips and
-checkpoint, and train_run loops over the two.  TrainState holds the whole run:
-nets, Adam states, the shuffle generator, the EpochStats history and the step
-count.  The epoch is the history's length: the one running while train_epoch
-runs, and the next one after it returns.
+mean and, whenever there is a held-out set, its scores; write_epoch_outputs
+writes its sample strips and checkpoint, and train_run loops over the two.
+TrainState holds the whole run: nets, Adam states, the shuffle generator, the
+EpochStats history and the step count.  The epoch is the history's length:
+the one running while train_epoch runs, and the next one after it returns.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class TrainConfig:
     tap_s: int = 2
     tap_z: int = 3
     disc_hidden: tuple = (64, 32)
-    eval_interval: int = 1
 
     def __post_init__(self) -> None:
         check_config(vars(self))
@@ -139,7 +138,6 @@ CONFIG_SCHEMA = {
     "disc_hidden": (_parse_ints, WIDTHS),
     "tap_s": (int, None),
     "tap_z": (int, None),
-    "eval_interval": (int, 1),
     "n_train": (int, 1),
     "n_eval": (int, 1),
     "streak_count": (int, 0),  # 0 streaks or amplitude 0: weather = clean
@@ -283,8 +281,6 @@ def build_epoch_banks(weather_images, clean_images, gen_wc: Generator, gen_cw: G
     set; the clean bank stores taps of the clean-to-weather net over the
     clean set, matching the supervised taps of the update loop.
     """
-    if not len(weather_images) or not len(clean_images):
-        raise EmptyDataset("both domains need at least one image")
     bank_w = bank_build(weather_images, gen_wc, domain="weather")
     bank_c = bank_build(clean_images, gen_cw, domain="clean")
     return EpochBanks(weather=bank_w, clean=bank_c)
@@ -481,13 +477,11 @@ def evaluate(gen_wc: Generator, weather, clean) -> tuple[list, list]:
     return [psnr(r, c) for r, c in zip(restored, clean)], [ssim(r, c) for r, c in zip(restored, clean)]
 
 
-def _scores_heldout(epoch: int, data: DeskData, config: TrainConfig) -> bool:
-    """Whether epoch scores the held-out pairs and writes their sample strips."""
-    return len(data.eval_weather) > 0 and (epoch % config.eval_interval == 0 or epoch == config.epochs - 1)
-
-
 def train_epoch(state: TrainState, data: DeskData, config: TrainConfig) -> EpochStats:
-    """Train the epoch after state.history on banks of its start weights; append its EpochStats there, return it."""
+    """Train the epoch after state.history on banks of its start weights; append its EpochStats there, return it.
+
+    Every epoch scores the held-out pairs when data holds any; without them its psnr and ssim are NaN.
+    """
     epoch = len(state.history)
     lr = lr_at(epoch, config)
     for opt_state in state.opt.values():
@@ -507,7 +501,7 @@ def train_epoch(state: TrainState, data: DeskData, config: TrainConfig) -> Epoch
 
     mean_sigma2 = float(np.mean(state.sigma2_log)) if state.sigma2_log else float("nan")
     ep_psnr = ep_ssim = float("nan")
-    if _scores_heldout(epoch, data, config):
+    if len(data.eval_weather) > 0:
         psnrs, ssims = evaluate(state.gen_wc, data.eval_weather, data.eval_clean)
         ep_psnr, ep_ssim = float(np.mean(psnrs)), float(np.mean(ssims))
     means = dict(zip(LOSS_FIELDS, comp_sums / len(batches)))
@@ -517,9 +511,9 @@ def train_epoch(state: TrainState, data: DeskData, config: TrainConfig) -> Epoch
 
 def write_epoch_outputs(out: Path, state: TrainState, data: DeskData, config: TrainConfig,
                         checkpoint_interval: int, sample_count: int) -> None:
-    """Input/restored/target sample strips of the last epoch, if scored, and its checkpoint, if due."""
+    """Sample strips (input, restored, target) of the last epoch, given held-out pairs, and its checkpoint, if due."""
     epoch = state.history[-1].epoch
-    if sample_count > 0 and _scores_heldout(epoch, data, config):
+    if sample_count > 0 and len(data.eval_weather) > 0:
         weather, clean = data.eval_weather[:sample_count], data.eval_clean[:sample_count]
         strips = np.concatenate([weather, state.gen_wc.restore(weather), clean], axis=2)
         for i, strip in enumerate(strips):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgpcyclegan import gp_supervisor, trainer, verify
+from dgpcyclegan import cli, gp_supervisor, trainer, verify
 from dgpcyclegan.cli import CONFIG_DEFAULTS, CONFIG_SCHEMA, build_run_config, main, parse_config_file
 from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
 from dgpcyclegan.nets import Discriminator, save_checkpoint
@@ -24,7 +24,6 @@ img_side = 16
 gen_hidden = 16,8,8,16
 disc_hidden = 8
 n_neighbors = 4
-eval_interval = 1
 streak_count = 4
 checkpoint_interval = 2
 sample_count = 1
@@ -68,10 +67,10 @@ def test_config_flag_overrides_file(fast_config):
     assert rc.train.seed == 99
 
 
-def test_config_dgp_off_forces_lambda_zero():
+def test_config_dgp_off_keeps_lambda_as_written():
     rc = build_run_config({"dgp": "off", "lambda_p": "0.5"})
     assert rc.train.dgp_enabled is False
-    assert rc.train.lambda_p == 0.0
+    assert rc.train.lambda_p == 0.5
 
 
 def test_readme_defaults_block_is_the_schema_defaults(tmp_path, monkeypatch):
@@ -122,7 +121,7 @@ def test_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
         ("gen_hidden = 16", "gen_hidden"),
         ("n_train = 0", "n_train"),
         ("n_eval = 0", "n_eval"),
-        ("eval_interval = 0", "eval_interval"),
+        ("eval_interval = 1", "eval_interval"),  # not a key: unknown config key
         ("checkpoint_interval = 0", "checkpoint_interval"),
         ("img_side = 8", "img_side"),
         ("seed = -1", "seed"),
@@ -370,6 +369,15 @@ def test_train_dgp_off_reports_zero_pseudo(fast_config, tmp_path):
     assert float(first[cols.index("p_rev")]) == 0.0
 
 
+def test_train_dgp_off_ignores_lambda(fast_config, tmp_path):
+    # Without banks the pseudo terms are exact zeros and inject no gradient, whatever lambda_p is.
+    outs = [tmp_path / "half", tmp_path / "zero"]
+    for out, lam in zip(outs, ("0.5", "0")):
+        assert main(["train", "--config", str(fast_config), "--out", str(out), "--dgp", "off", "--lambda-p", lam]) == 0
+    for name in ("metrics.csv", "ckpt_1.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 # --- eval command ------------------------------------------------------------
 
 
@@ -452,6 +460,28 @@ def test_ablate_default_grid_writes_three_summaries(fast_config, tmp_path):
         lines = (out / name).read_text().splitlines()
         assert len(lines) == 2  # header + one grid point
         assert len(lines[1].split(",")) == 3  # value, psnr, ssim
+
+
+def test_ablate_trains_the_base_point_once(fast_config, tmp_path, monkeypatch):
+    # The base config (n_neighbors = 4, lambda_p = 0.03) is the Nn and the lambda point.
+    real_run_experiment = cli.run_experiment
+    calls = []
+
+    def counting(rc, out_dir=None):
+        calls.append(rc)
+        return real_run_experiment(rc, out_dir)
+
+    monkeypatch.setattr(cli, "run_experiment", counting)
+    out = tmp_path / "abl"
+    code = main([
+        "ablate", "--config", str(fast_config), "--out", str(out),
+        "--layers", "1", "--neighbors-grid", "4", "--lambdas", "0.03",
+    ])
+    assert code == 0
+    assert len(calls) == 2
+    nn_row, lam_row = ((out / name).read_text().splitlines()[1].split(",")
+                       for name in ("summary_Nn.csv", "summary_lambda_p.csv"))
+    assert nn_row[1:] == lam_row[1:]
 
 
 def test_ablate_single_point_matches_train(fast_config, tmp_path):

@@ -106,32 +106,9 @@ def test_unpaired_sets_peak_memory_is_the_output_plus_a_few_chunks(n, side):
 # --- psnr --------------------------------------------------------------------
 
 
-def test_psnr_identical_inputs_cap():
-    p = _clean_stack(4, 1, 32)[0]
-    assert psnr(p, p) == 99.0
-
-
-def test_psnr_hand_value_20db():
-    a = np.full((16, 16), 0.2)
-    b = np.full((16, 16), 0.3)  # MSE exactly 0.01
-    assert abs(psnr(a, b) - 20.0) < 1e-9
-
-
-def test_psnr_zero_db_for_full_range_error():
-    assert abs(psnr(np.zeros((8, 8)), np.ones((8, 8)))) < 1e-12
-
-
 def test_psnr_of_nan_restoration_is_nan():
     # a diverged run must not score the cap
     assert np.isnan(psnr(np.full((16, 16), np.nan), np.zeros((16, 16))))
-
-
-def test_psnr_symmetry_and_monotone_in_noise():
-    rng = np.random.default_rng(51)
-    a = rng.uniform(0.3, 0.7, (16, 16))
-    assert psnr(a, a + 0.01) == psnr(a + 0.01, a)
-    vals = [psnr(a, a + amp) for amp in (0.01, 0.02, 0.05, 0.1, 0.2)]
-    assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
 def test_psnr_shape_mismatch():

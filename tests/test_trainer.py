@@ -33,7 +33,6 @@ def small_config(**kw):
         gen_hidden=(12, 6, 6, 12),
         disc_hidden=(8,),
         n_neighbors=4,
-        eval_interval=1,
     )
     base.update(kw)
     return TrainConfig(**base)
