@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nets
+
 # psnr and ssim are scored through trainer.evaluate; they stay importable
 # here because perfbench's trace wraps them at this module.
 from .data_metrics import DegradeSpec, make_eval_pairs, make_unpaired_sets, psnr, ssim  # noqa: F401
@@ -144,6 +146,8 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    # The checks run on the live Adam path; without a C compiler it is the slower numpy loop.
+    print("adam: native kernel" if nets.adam_kernel is not None else f"adam: numpy loop ({nets.adam_kernel_error})")
     all_ok = True
     width = max(len(c.name) for checks in results.values() for c in checks)
     for suite, checks in results.items():

@@ -213,9 +213,10 @@ class TrainState:
     grad is a single float64 vector as long as the largest net.  train_step
     forms each net's parameter gradient in its leading slice (grad_for) right
     before that net's Adam step, in the order gen_wc, gen_cw, disc_c, disc_w,
-    and Adam uses it as scratch; so the four nets use the buffer in turn and
-    no gradient outlives its update.  step counts the steps taken; the epoch
-    is len(history), and NonFiniteLoss and NonFiniteGradient name both.
+    after which its contents are unspecified; so the four nets use the buffer
+    in turn and no gradient outlives its update.  step counts the steps
+    taken; the epoch is len(history), and NonFiniteLoss and NonFiniteGradient
+    name both.
     """
 
     gen_wc: Generator

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgpcyclegan import cli, gp_supervisor, trainer, verify
+from dgpcyclegan import cli, gp_supervisor, nets, trainer, verify
 from dgpcyclegan.cli import CONFIG_DEFAULTS, CONFIG_SCHEMA, build_run_config, main, parse_config_file
 from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
 from dgpcyclegan.nets import Discriminator, save_checkpoint
@@ -190,6 +190,17 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("kernel, error, line", [
+    (object(), None, "adam: native kernel"),
+    (None, "cc: not found", "adam: numpy loop (cc: not found)"),
+])
+def test_verify_names_the_live_adam_path(monkeypatch, capsys, kernel, error, line):
+    monkeypatch.setattr(nets, "adam_kernel", kernel)
+    monkeypatch.setattr(nets, "adam_kernel_error", error)
+    assert main(["verify", "--suite", "metrics"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
 def test_verify_detects_injected_sign_flip(monkeypatch, capsys):
     # Mutation check: a sign-flipped gradient must fail the grads suite.
     true_grad = gp_supervisor.pseudo_loss_grad
@@ -206,7 +217,8 @@ def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
     monkeypatch.setattr(verify, "brute_force_condition", raising)
     assert main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    rows, summary = lines[:-1], lines[-1]
+    assert lines[0].startswith("adam: ")
+    rows, summary = lines[1:-1], lines[-1]
     failed = [r for r in rows if "  FAIL  " in r]
     assert len(failed) == 1 and "brute-force oracle equivalence" in failed[0]
     assert "raised NotPositiveDefinite: injected" in failed[0]
