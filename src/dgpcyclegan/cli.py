@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nets
+from . import native
 
 # psnr and ssim are scored through trainer.evaluate; they stay importable
 # here because perfbench's trace wraps them at this module.
@@ -146,8 +146,10 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    # The checks run on the live Adam path; without a C compiler it is the slower numpy loop.
-    print("adam: native kernel" if nets.adam_kernel is not None else f"adam: numpy loop ({nets.adam_kernel_error})")
+    # The checks run on the live paths: the native passes where they built, else their numpy twins.
+    # Training bits also follow numpy and the BLAS core it picked on this host.
+    print(native.status())
+    print(f"numpy {np.__version__}, BLAS core {native.blas_core()}")
     all_ok = True
     width = max(len(c.name) for checks in results.values() for c in checks)
     for suite, checks in results.items():

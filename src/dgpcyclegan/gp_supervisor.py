@@ -22,6 +22,11 @@ K + noise * I, k(S, q) and k(q, q) + noise off its blocks; then one Cholesky
 call and one solve for all right-hand sides.  A 1-D query is a stack of one,
 and its results drop the leading axis.
 
+knn_select scans the bank once per query stack.  Where the package's native
+library built, that scan is one pass of _native.c that forms each squared
+distance as numpy's sum does and ranks as a stable argsort does, so both
+paths return the same ids.
+
 Banks are frozen snapshots, so by default the pseudo-label, the variance and
 the kernel terms in the query are treated as constants by the gradients; an
 optional extra term differentiates through the query's kernel row for
@@ -34,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .data_metrics import _pixels
 from .errors import DimensionMismatch, EmptyBank, EmptyDataset, NotPositiveDefinite
 from .kernels import KernelSpec, gram, kernel_row_grad
@@ -110,16 +116,26 @@ def knn_select(bank: FeatureBank, query_z, n: int) -> np.ndarray:
     """Indices of the min(n, |bank|) entries closest to each query row in z-space.
 
     (B, z_dim) queries give (B, k) indices.  Euclidean distance, ties broken
-    toward the lower index; deterministic.
+    toward the lower index, NaN distances last; deterministic.  With
+    native.lib.knn_select loaded one native pass gives the same ids as the
+    numpy sum and stable argsort.
     """
     if len(bank) == 0:
         raise EmptyBank("feature bank has no entries")
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _queries(query_z, bank.z.shape[1], "z")
+    k = min(n, len(bank))
+    kernel = native.lib.knn_select
+    if kernel is not None:
+        z, qc = np.ascontiguousarray(bank.z), np.ascontiguousarray(q)
+        ids = np.empty(q.shape[:-1] + (k,), dtype=np.intp)
+        if kernel(z.ctypes.data, len(bank), z.shape[1], qc.ctypes.data, 1 if q.ndim == 1 else len(q), k, ids.ctypes.data):
+            raise MemoryError("knn_select: no memory for the distances")
+        return ids
     d2 = np.sum((bank.z - q[..., None, :]) ** 2, axis=-1)
     order = np.argsort(d2, axis=-1, kind="stable")
-    return order[..., : min(n, len(bank))]
+    return order[..., :k]
 
 
 def _joint_rows(s_nbr: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -14,14 +14,25 @@ families can push k above beta**2 and trip NonFiniteRecursion.
 
 Every function takes row stacks: (B, dim) vectors give B kernel values, and
 (B, n, dim) rows give a (B, n, m) Gram stack; no leading axis is a stack of one.
+
+The recursion is the collapsed deep-GP kernel of Lu et al., "Interpretable
+Deep Gaussian Processes with Moments" (AISTATS 2020).  gram(spec, rows, rows),
+the joint Gram every GP query builds, reads only the upper triangle of
+rows @ rows.T and mirrors it, so the matrix is exactly symmetric.  Where the
+package's native library built, two passes of _native.c do that work around
+numpy's _layer_kernel: one packs the triangle's squared distances (inner
+products for lin), the other runs the depth recursion and mirrors; the numpy
+code gives the same bits and runs where the library did not build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
+from . import native
 from .errors import DimensionMismatch, NonFiniteRecursion
 from .linalg import matvec, row_dot
 
@@ -126,6 +137,10 @@ def base_kernel(spec: KernelSpec, layer: int, x, y):
     return _scalar(_layer_kernel(spec, layer, t, x.shape[-1]))
 
 
+def _radicand_error(layer: int) -> NonFiniteRecursion:
+    return NonFiniteRecursion(f"radicand <= 0 at layer {layer + 1}; layer-1 kernel exceeds beta**2")
+
+
 def _recurse(spec: KernelSpec, k, slope: bool = False):
     """Apply the depth recursion elementwise to layer-1 kernel values.
 
@@ -140,9 +155,7 @@ def _recurse(spec: KernelSpec, k, slope: bool = False):
         g = spec.gamma[layer]
         radicand = 1.0 + (2.0 / (g * g)) * (b_prev * b_prev - k)
         if np.any(radicand <= 0.0):
-            raise NonFiniteRecursion(
-                f"radicand <= 0 at layer {layer + 1}; layer-1 kernel exceeds beta**2"
-            )
+            raise _radicand_error(layer)
         if slope:
             chain = chain * (b * b) / (g * g) / radicand ** 1.5
         k = (b * b) / np.sqrt(radicand)
@@ -190,20 +203,49 @@ def _stack(vectors) -> np.ndarray:
     return arr
 
 
-def _base_matrix(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray, same: bool) -> np.ndarray:
-    t = rows @ cols.swapaxes(-2, -1)
-    if spec.families[0] != LIN:
-        # Squared distances via the Gram expansion, clipped against rounding.
-        t = (
-            np.sum(rows * rows, axis=-1)[..., :, None]
-            + np.sum(cols * cols, axis=-1)[..., None, :]
-            - 2.0 * t
-        )
-        np.maximum(t, 0.0, out=t)
-        if same:
-            diag = np.arange(t.shape[-1])
-            t[..., diag, diag] = 0.0
-    return _layer_kernel(spec, 0, t, rows.shape[-1])
+def _distances(rows: np.ndarray, cols: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Squared distances from the products t = rows @ cols.T via the Gram expansion, clipped against rounding."""
+    sq_rows = np.sum(rows * rows, axis=-1)
+    sq_cols = sq_rows if cols is rows else np.sum(cols * cols, axis=-1)
+    t = sq_rows[..., :, None] + sq_cols[..., None, :] - 2.0 * t
+    np.maximum(t, 0.0, out=t)
+    return t
+
+
+def _symmetric_gram(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
+    """gram(spec, rows, rows): the upper triangle's layer-1 arguments, mirrored, through the family and the depth.
+
+    Only the upper triangle of the product is read, so the result is
+    exactly symmetric, and the zero-distance diagonal is exact.  With
+    native.lib.gram the triangle travels packed: one native pass forms it,
+    numpy's _layer_kernel maps it, and a second native pass runs the depth
+    recursion and mirrors it; the numpy path gives the same bits.
+    """
+    lin = spec.families[0] == LIN
+    t = rows @ rows.swapaxes(-2, -1)
+    m, dim = t.shape[-1], rows.shape[-1]
+    passes = native.lib.gram
+    if passes is not None:
+        pack, depth = passes
+        rows = np.ascontiguousarray(rows)
+        nb = math.prod(t.shape[:-2])
+        packed = np.empty(t.shape[:-2] + (m * (m + 1) // 2,))
+        if pack(t.ctypes.data, rows.ctypes.data, nb, m, dim, lin, packed.ctypes.data):
+            raise MemoryError("gram: no memory for the squared norms")
+        k = _layer_kernel(spec, 0, packed, dim)
+        consts = np.array([(2.0 / (spec.gamma[l] * spec.gamma[l]), spec.beta[l - 1] * spec.beta[l - 1],
+                            spec.beta[l] * spec.beta[l]) for l in range(1, spec.depth)])
+        layer = depth(k.ctypes.data, nb, m, spec.depth - 1, consts.ctypes.data, t.ctypes.data)
+        if layer:
+            raise _radicand_error(layer)
+        return t
+    if not lin:
+        t = _distances(rows, rows, t)
+        diag = np.arange(m)
+        t[..., diag, diag] = 0.0
+    # Mirror the upper triangle into the lower one.
+    t = np.where(np.tri(m, k=-1, dtype=bool), t.swapaxes(-2, -1), t)
+    return _recurse(spec, _layer_kernel(spec, 0, t, dim))
 
 
 def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
@@ -213,15 +255,15 @@ def gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     result is exactly symmetric with the zero-distance diagonal evaluated
     exactly.
     """
-    same = rows is cols
     r = _stack(rows)
-    c = r if same else _stack(cols)
+    if rows is cols:
+        return _symmetric_gram(spec, r)
+    c = _stack(cols)
     if r.shape[-1] != c.shape[-1]:
         raise DimensionMismatch(
             f"row vectors have dim {r.shape[-1]}, col vectors dim {c.shape[-1]}"
         )
-    k = _recurse(spec, _base_matrix(spec, r, c, same))
-    if same:
-        # Mirror the upper triangle into the lower one.
-        k = np.where(np.tri(k.shape[-1], k=-1, dtype=bool), k.swapaxes(-2, -1), k)
-    return k
+    t = r @ c.swapaxes(-2, -1)
+    if spec.families[0] != LIN:
+        t = _distances(r, c, t)
+    return _recurse(spec, _layer_kernel(spec, 0, t, r.shape[-1]))

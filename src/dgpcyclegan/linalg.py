@@ -64,9 +64,8 @@ def cholesky(a) -> CholFactor:
         skew = np.max(np.abs(a - a.swapaxes(-2, -1)), axis=(-2, -1))
         if np.any(skew > SYMMETRY_TOL * scale):
             raise NotSymmetric("matrix is not symmetric within 1e-9")
-    eye = np.eye(a.shape[-1])
     for jitter in JITTER_LADDER:
-        matrix = a if jitter == 0.0 else a + jitter * eye
+        matrix = a if jitter == 0.0 else a + jitter * np.eye(a.shape[-1])
         try:
             lower = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:

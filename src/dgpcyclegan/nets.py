@@ -36,28 +36,25 @@ each net's gradient there in turn, right before that net's Adam step.
 adam_step keeps unnormalised moments and folds both bias corrections into
 its step size and epsilon; it updates the moments and the parameter vector
 in place and returns that same vector, and the gradient's contents afterwards
-are unspecified.  It runs as one native pass over the vectors when importing
-this module compiled and loaded _adam.c with the host's C compiler
-(`adam_kernel`), and otherwise as ten numpy passes block by block
-(`adam_kernel_error` then says why); the two give the same bits.
+are unspecified.  It runs as one native pass over the vectors when the
+package's native library built (`native.lib.adam_step`), and otherwise as ten
+numpy passes block by block (`native.error` then says why); the two give the
+same bits.
 save_checkpoint writes each parameter vector's own buffer, without a copy,
 and load_checkpoint reads each one straight into its rebuilt net's params.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
-import importlib.resources
 import math
 import os
 import struct
-import subprocess
 import sys
-import tempfile
 
 import numpy as np
 
+from . import native
 from .errors import CacheMismatch, MalformedFile, ShapeMismatch
 from .fileio import atomic_open
 
@@ -67,11 +64,6 @@ LEAKY_SLOPE = 0.2
 # instead of streaming whole 2 MB generator vectors 10 times.  Any size gives
 # the same bits.
 ADAM_BLOCK = 32768
-# The compiler and flags of adam_step's native path.  No -ffast-math or
-# -Ofast: they reassociate and flush subnormals to zero, and the kernel must
-# round as the numpy passes do; -ffp-contract=off keeps out fused multiply-adds.
-ADAM_CC = "cc"
-ADAM_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 
 def _leaky(x: np.ndarray) -> np.ndarray:
@@ -292,35 +284,6 @@ class AdamState:
         return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
-def _build_adam_kernel():
-    """Compile _adam.c with ADAM_CC into a private temporary directory and load it.
-
-    Returns (kernel, None), or (None, the first line of the reason) when the
-    compiler is missing or fails, or the library does not load (as from a
-    noexec temporary directory).  The directory is deleted either way; a
-    loaded library stays mapped after its file is gone.
-    """
-    source = importlib.resources.files(__package__).joinpath("_adam.c")
-    try:
-        with importlib.resources.as_file(source) as src, tempfile.TemporaryDirectory(prefix="dgpcyclegan-adam-") as tmp:
-            lib = os.path.join(tmp, "_adam.so")
-            done = subprocess.run([ADAM_CC, *ADAM_CFLAGS, "-o", lib, str(src)],
-                                  stdin=subprocess.DEVNULL, capture_output=True, text=True)
-            if done.returncode != 0:
-                lines = done.stderr.strip().splitlines()
-                return None, lines[0] if lines else f"{ADAM_CC} exited with status {done.returncode}"
-            kernel = ctypes.CDLL(lib).dgp_adam_update
-    except OSError as exc:
-        return None, (str(exc).splitlines() or [type(exc).__name__])[0]
-    kernel.argtypes = (ctypes.c_void_p,) * 4 + (ctypes.c_size_t,) + (ctypes.c_double,) * 4
-    kernel.restype = None
-    return kernel, None
-
-
-# Built once, at import, so that no training step or set-up pays for the build.
-adam_kernel, adam_kernel_error = _build_adam_kernel()
-
-
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update of params in place; returns params itself.
 
@@ -332,12 +295,13 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     elementwise operations with one division.  m, v and params are updated
     in place; the contents of grads afterwards are unspecified.
 
-    With `adam_kernel` loaded the 10 operations run as one native pass over
-    the vectors, element by element; otherwise as 10 numpy passes, block by
-    block, which overwrite grads as scratch.  Both round each operation once
-    in the same order, so they give the same bits.  params, grads, m and v
-    must be C-contiguous float64 arrays of one shape, and params, m and v
-    writeable, else ShapeMismatch: the kernel reads raw pointers.
+    With `native.lib.adam_step` loaded the 10 operations run as one native
+    pass over the vectors, element by element; otherwise as 10 numpy passes,
+    block by block, which overwrite grads as scratch.  Both round each
+    operation once in the same order, so they give the same bits.  params,
+    grads, m and v must be C-contiguous float64 arrays of one shape, and
+    params, m and v writeable, else ShapeMismatch: the kernel reads raw
+    pointers.
     """
     arrays = (params, grads, state.m, state.v)
     if any(a.shape != params.shape for a in arrays):
@@ -350,9 +314,10 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     k = math.sqrt((1.0 - state.beta2) / (1.0 - state.beta2 ** state.t))
     step = state.lr * (1.0 - state.beta1) / ((1.0 - state.beta1 ** state.t) * k)
     eps = state.eps / k
-    if adam_kernel is not None:
-        adam_kernel(params.ctypes.data, grads.ctypes.data, state.m.ctypes.data, state.v.ctypes.data,
-                    params.size, state.beta1, state.beta2, eps, step)
+    kernel = native.lib.adam_step
+    if kernel is not None:
+        kernel(params.ctypes.data, grads.ctypes.data, state.m.ctypes.data, state.v.ctypes.data,
+               params.size, state.beta1, state.beta2, eps, step)
         return params
     for lo in range(0, len(params), ADAM_BLOCK):
         sl = slice(lo, lo + ADAM_BLOCK)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgpcyclegan import cli, gp_supervisor, nets, trainer, verify
+from dgpcyclegan import cli, gp_supervisor, native, trainer, verify
 from dgpcyclegan.cli import CONFIG_DEFAULTS, CONFIG_SCHEMA, build_run_config, main, parse_config_file
 from dgpcyclegan.errors import ConfigError, NotPositiveDefinite
 from dgpcyclegan.nets import Discriminator, save_checkpoint
@@ -190,15 +190,27 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
 
 
-@pytest.mark.parametrize("kernel, error, line", [
-    (object(), None, "adam: native kernel"),
-    (None, "cc: not found", "adam: numpy loop (cc: not found)"),
-])
-def test_verify_names_the_live_adam_path(monkeypatch, capsys, kernel, error, line):
-    monkeypatch.setattr(nets, "adam_kernel", kernel)
-    monkeypatch.setattr(nets, "adam_kernel_error", error)
+@pytest.mark.parametrize("lib, error, line", [
+    (native.Native(object(), object(), (object(), object())), None, "native: adam_step, knn_select, gram"),
+    (native.Native(), "cc: not found", "native: none; numpy: adam_step, knn_select, gram (cc: not found)"),
+    (native.Native(adam_step=object()), None, "native: adam_step; numpy: knn_select, gram"),
+], ids=["built", "failed", "gp forced off"])
+def test_verify_names_the_live_native_paths(monkeypatch, capsys, lib, error, line):
+    monkeypatch.setattr(native, "lib", lib)
+    monkeypatch.setattr(native, "error", error)
     assert main(["verify", "--suite", "metrics"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == line
+
+
+def test_verify_names_numpy_and_the_blas_core(monkeypatch, capsys):
+    assert main(["verify", "--suite", "metrics"]) == 0
+    core = native.blas_core()
+    assert core and "\n" not in core
+    assert capsys.readouterr().out.splitlines()[1] == f"numpy {np.__version__}, BLAS core {core}"
+    # A library without the symbol, or none at all, reads "unknown".
+    for found in (["libc.so.6"], []):
+        monkeypatch.setattr(native.glob, "glob", lambda pattern: found)
+        assert native.blas_core() == "unknown"
 
 
 def test_verify_detects_injected_sign_flip(monkeypatch, capsys):
@@ -217,8 +229,8 @@ def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
     monkeypatch.setattr(verify, "brute_force_condition", raising)
     assert main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("adam: ")
-    rows, summary = lines[1:-1], lines[-1]
+    assert lines[0].startswith("native: ") and lines[1].startswith("numpy ")
+    rows, summary = lines[2:-1], lines[-1]
     failed = [r for r in rows if "  FAIL  " in r]
     assert len(failed) == 1 and "brute-force oracle equivalence" in failed[0]
     assert "raised NotPositiveDefinite: injected" in failed[0]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgpcyclegan import cli, nets
+from dgpcyclegan import cli, native, nets
 from dgpcyclegan.errors import CacheMismatch, MalformedFile, ShapeMismatch
 from dgpcyclegan.nets import (
     ADAM_BLOCK,
@@ -262,7 +262,7 @@ def test_adam_zero_lr_leaves_params():
 
 def test_adam_step_is_the_textbook_update_in_place(monkeypatch):
     # The numpy loop, the reference the native kernel is held to bit for bit.
-    monkeypatch.setattr(nets, "adam_kernel", None)
+    monkeypatch.setattr(native, "lib", native.lib._replace(adam_step=None))
     monkeypatch.setattr(nets, "ADAM_BLOCK", 8)  # 30 values: three whole blocks and a partial one
     # 50 steps against the textbook update; inf if a call does not return params itself
     assert adam_textbook_error(50, n=30) <= ADAM_TOL
@@ -295,7 +295,7 @@ def test_adam_t_strictly_increasing():
     assert seen == [1, 2, 3, 4]
 
 
-needs_kernel = pytest.mark.skipif(nets.adam_kernel is None, reason=f"the native Adam kernel did not build: {nets.adam_kernel_error}")
+needs_kernel = pytest.mark.skipif(native.lib.adam_step is None, reason=f"the native library did not build: {native.error}")
 
 # Gradient entries the kernel must round exactly as numpy does: signed zeros,
 # tiny normals and subnormals (no flush to zero).
@@ -304,7 +304,7 @@ EDGE_GRADS = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.5e-310, -2
 
 def adam_run(monkeypatch, kernel, n, steps=200):
     """params, m and v after `steps` adam_step calls on one seeded gradient sequence, with the given kernel."""
-    monkeypatch.setattr(nets, "adam_kernel", kernel)
+    monkeypatch.setattr(native, "lib", native.lib._replace(adam_step=kernel))
     rng = np.random.default_rng(n)
     params = rng.standard_normal(n)
     state = AdamState.for_params(params, lr=1e-2)
@@ -324,11 +324,11 @@ def adam_run(monkeypatch, kernel, n, steps=200):
 @needs_kernel
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 2 * ADAM_BLOCK + 40])
 def test_native_adam_is_bit_identical_to_the_numpy_loop(monkeypatch, n):
-    native = adam_run(monkeypatch, nets.adam_kernel, n)
+    kernel = adam_run(monkeypatch, native.lib.adam_step, n)
     numpy_loop = adam_run(monkeypatch, None, n)
-    for name, a, b in zip(("params", "m", "v"), native, numpy_loop):
+    for name, a, b in zip(("params", "m", "v"), kernel, numpy_loop):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
-    assert np.isnan(native[0][-1]) and (n == 1 or np.isinf(native[2][0]))
+    assert np.isnan(kernel[0][-1]) and (n == 1 or np.isinf(kernel[2][0]))
 
 
 @needs_kernel
@@ -337,8 +337,8 @@ def test_train_writes_the_same_bytes_with_the_kernel_forced_off(monkeypatch, tmp
     cfg.write_text("epochs = 2\nn_train = 6\nn_eval = 2\nimg_side = 16\ngen_hidden = 16,8,8,16\n"
                    "disc_hidden = 8\nn_neighbors = 4\ncheckpoint_interval = 1\nsample_count = 1\n")
     outputs = []
-    for kernel in (nets.adam_kernel, None):
-        monkeypatch.setattr(nets, "adam_kernel", kernel)
+    for kernel in (native.lib.adam_step, None):
+        monkeypatch.setattr(native, "lib", native.lib._replace(adam_step=kernel))
         out = tmp_path / ("native" if kernel else "numpy")
         assert cli.main(["train", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
@@ -365,9 +365,9 @@ def test_adam_refuses_arrays_the_kernel_would_misread(bad):
 
 
 def test_adam_source_ships_as_package_data():
-    assert importlib.resources.files("dgpcyclegan").joinpath("_adam.c").is_file()
+    assert importlib.resources.files("dgpcyclegan").joinpath("_native.c").is_file()
     pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
-    assert "_adam.c" in pyproject["tool"]["setuptools"]["package-data"]["dgpcyclegan"]
+    assert "_native.c" in pyproject["tool"]["setuptools"]["package-data"]["dgpcyclegan"]
 
 
 def refuse_to_load(path):
@@ -377,25 +377,27 @@ def refuse_to_load(path):
 @pytest.mark.parametrize("cc, load, reason", [
     ("dgpcyclegan-no-such-compiler", None, "dgpcyclegan-no-such-compiler"),  # no compiler
     ("false", None, "false exited with status 1"),  # the compiler fails
-    pytest.param(nets.ADAM_CC, refuse_to_load, "failed to map segment", marks=needs_kernel),  # a noexec temp dir
+    pytest.param(native.CC, refuse_to_load, "failed to map segment", marks=needs_kernel),  # a noexec temp dir
 ])
 def test_a_failed_adam_build_falls_back_and_leaves_no_directory(monkeypatch, tmp_path, cc, load, reason):
+    # One build serves every native pass, so a failed one falls back for all of them, with one reason.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(nets, "ADAM_CC", cc)
+    monkeypatch.setattr(native, "CC", cc)
     if load is not None:
-        monkeypatch.setattr(nets.ctypes, "CDLL", load)
-    kernel, error = nets._build_adam_kernel()
-    assert kernel is None and reason in error and "\n" not in error
+        monkeypatch.setattr(native.ctypes, "CDLL", load)
+    lib, error = native.build()
+    assert lib == native.Native(adam_step=None, knn_select=None, gram=None)
+    assert reason in error and "\n" not in error
     assert list(tmp_path.iterdir()) == []
 
 
 @needs_kernel
 def test_adam_build_leaves_no_directory_and_the_kernel_still_runs(monkeypatch, tmp_path):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    kernel, error = nets._build_adam_kernel()
-    assert kernel is not None and error is None
+    lib, error = native.build()
+    assert None not in lib and error is None
     assert list(tmp_path.iterdir()) == []
-    monkeypatch.setattr(nets, "adam_kernel", kernel)
+    monkeypatch.setattr(native, "lib", lib)
     params = np.zeros(1)
     adam_step(AdamState.for_params(params, lr=2e-4), params, np.array([1.0]))
     assert abs(params[0] + 2e-4 / (1.0 + 1e-8)) < 1e-18
