@@ -3,9 +3,11 @@
 The package splits into the numeric core (linalg, kernels, gp_supervisor),
 the differentiable networks (nets), the training loop (trainer), synthetic
 data plus metrics (data_metrics), and the command-line front end (cli,
-verify).  native compiles _native.c at import: bit-exact twins of the Adam
-update, the kNN scan and the symmetric Gram, which kernels, gp_supervisor
-and nets call where it built.
+verify).  native loads _native.c's library at import, compiling it into a
+per-user cache on the first import: bit-exact twins of the Adam update, the
+kNN scan, the symmetric Gram and the nets' forward, backward and
+parameter-gradient passes, which kernels, gp_supervisor and nets call where
+it built.
 """
 
 from .data_metrics import DegradeSpec, psnr, read_pgm, ssim, write_pgm

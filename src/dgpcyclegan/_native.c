@@ -189,3 +189,216 @@ int dgp_gram_depth(double *k, size_t nb, size_t m, size_t nl, const double *cons
         }
     return 0;
 }
+
+/* --- dense stacks: nets.DenseStack's passes ---------------------------------
+ *
+ * Each matrix product goes to the same OpenBLAS entry point, with the same
+ * arguments, as numpy's matmul would call for the same operands, so it gives
+ * numpy's bits; numpy.libs' libscipy_openblas64_ (ILP64 CBLAS) supplies the
+ * functions, whose addresses dgp_set_blas receives when the library loads.
+ * Everything around the products (the bias add, the leaky map, tap-gradient
+ * adds, the backward mask, the bias row sums) is elementwise C that rounds
+ * as the numpy expressions do.
+ *
+ * A stack's parameters are numpy's flat vector: per stage its (fan_in,
+ * fan_out) weights, then its fan_out biases.  widths[0 .. stages] are the
+ * stage widths.  A block holds a row stack's activations (or gradients) of
+ * stages 1 .. stages, stage i's (rows, widths[i]) array right after stage
+ * i - 1's. */
+
+typedef long long blasint;  /* the ILP64 interface's integer */
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112 };
+typedef void (*gemm_fn)(int, int, int, blasint, blasint, blasint, double, const double *, blasint,
+                        const double *, blasint, double, double *, blasint);
+typedef void (*gemv_fn)(int, int, blasint, blasint, double, const double *, blasint, const double *, blasint,
+                        double, double *, blasint);
+typedef double (*dot_fn)(blasint, const double *, blasint, const double *, blasint);
+
+static gemm_fn blas_gemm;
+static gemv_fn blas_gemv;
+static dot_fn blas_dot;
+
+void dgp_set_blas(void *gemm, void *gemv, void *dot)
+{
+    blas_gemm = (gemm_fn)gemm;
+    blas_gemv = (gemv_fn)gemv;
+    blas_dot = (dot_fn)dot;
+}
+
+/* numpy's is_blasable2d, strides in elements: unit inner stride and an outer
+ * stride that spans the row. */
+static int blasable(ptrdiff_t outer, ptrdiff_t inner, size_t d2)
+{
+    return inner == 1 && outer >= (ptrdiff_t)d2;
+}
+
+/* numpy's gemv: op = ip1 @ ip2 for an (m, n) matrix ip1 and an n-vector ip2. */
+static void matvec(const double *a, ptrdiff_t a_m, ptrdiff_t a_n, const double *x, ptrdiff_t x_n,
+                   double *y, ptrdiff_t y_m, size_t m, size_t n)
+{
+    int col = blasable(a_m, a_n, n);
+    blas_gemv(col ? COL_MAJOR : ROW_MAJOR, TRANS, (blasint)n, (blasint)m, 1.0, a, col ? a_m : a_n,
+              x, x_n, 0.0, y, y_m);
+}
+
+/* c = a @ b for (m, n) a, (n, p) b and (m, p) c, each given by its pointer and
+ * element strides, as numpy 2's matmul forms one such product:
+ *   - M = N = 1: 0.0 plus one ddot;
+ *   - M = 1 or N = 1, K at least 2: dgemv, ColMajor Trans when the matrix's
+ *     rows are contiguous, RowMajor Trans when its columns are (for M = 1 the
+ *     operands swap: c.T = b.T @ a.T);
+ *   - every dimension at least 2: dgemm RowMajor, each Trans flag set from
+ *     its operand's strides;
+ *   - otherwise (K = 1, a zero dimension, an operand BLAS cannot take) its own
+ *     loop, c = 0 then c += a * b over k.
+ * numpy's dsyrk case needs a and b to be one buffer, which no caller here
+ * passes. */
+static void matmul(const double *a, ptrdiff_t a_m, ptrdiff_t a_n, const double *b, ptrdiff_t b_n, ptrdiff_t b_p,
+                   double *c, ptrdiff_t c_m, ptrdiff_t c_p, size_t m, size_t n, size_t p)
+{
+    int a_c = blasable(a_m, a_n, n), a_ok = a_c || blasable(a_n, a_m, m);
+    int b_c = blasable(b_n, b_p, p), b_ok = b_c || blasable(b_p, b_n, n);
+    if (m == 1 && p == 1 && n > 0) {
+        *c = 0.0 + blas_dot((blasint)n, a, a_n, b, b_n);
+        return;
+    }
+    if (m == 1 && n > 1 && p > 0 && b_ok && a_n >= 1) {
+        matvec(b, b_p, b_n, a, a_n, c, c_p, p, n);
+        return;
+    }
+    if (p == 1 && n > 1 && m > 0 && a_ok && b_n >= 1) {
+        matvec(a, a_m, a_n, b, b_n, c, c_m, m, n);
+        return;
+    }
+    if (m > 1 && n > 1 && p > 1 && a_ok && b_ok && blasable(c_m, c_p, p)) {
+        blas_gemm(ROW_MAJOR, a_c ? NO_TRANS : TRANS, b_c ? NO_TRANS : TRANS, (blasint)m, (blasint)p, (blasint)n,
+                  1.0, a, a_c ? a_m : a_n, b, b_c ? b_n : b_p, 0.0, c, c_m);
+        return;
+    }
+    for (size_t i = 0; i < m; i++)
+        for (size_t j = 0; j < p; j++) {
+            double acc = 0.0;
+            for (size_t k = 0; k < n; k++)
+                acc += a[i * a_m + k * a_n] * b[k * b_n + j * b_p];
+            c[i * c_m + j * c_p] = acc;
+        }
+}
+
+/* DenseStack._run: x (rows, widths[0]) through stages 0 .. stages - 1, each
+ * stage's post-activation into its place in acts.  Each stage is
+ * pre = a @ W + b and then np.where(pre > 0.0, pre, 0.2 * pre), except the
+ * network's linear head, the last stage when head is set. */
+void dgp_dense_forward(const double *params, const size_t *widths, size_t stages, int head,
+                       const double *x, size_t rows, double *acts)
+{
+    const double *a = x;
+    for (size_t i = 0; i < stages; i++) {
+        size_t fan_in = widths[i], fan_out = widths[i + 1];
+        const double *w = params, *bias = params + fan_in * fan_out;
+        params = bias + fan_out;
+        matmul(a, (ptrdiff_t)fan_in, 1, w, (ptrdiff_t)fan_out, 1, acts, (ptrdiff_t)fan_out, 1, rows, fan_in, fan_out);
+        int linear = head && i == stages - 1;
+        for (size_t r = 0; r < rows; r++)
+            for (size_t j = 0; j < fan_out; j++) {
+                double pre = acts[r * fan_out + j] + bias[j];
+                acts[r * fan_out + j] = linear || pre > 0.0 ? pre : 0.2 * pre;
+            }
+        a = acts;
+        acts += rows * fan_out;
+    }
+}
+
+/* DenseStack._backprop's chain for a stack of `stages` stages whose forward
+ * block is acts: from grad_out (rows, widths[stages]) down, each stage's
+ * gradient g gets its tap gradient added (g = g + taps[i + 1], where that
+ * pointer is not NULL), is masked by its leaky stage's post-activation
+ * (dpre = g * np.where(act > 0.0, 1.0, 0.2); the head keeps dpre = g), goes
+ * into dpres, and gives the stage below its g = dpre @ W.T.  The input's
+ * gradient goes into grad_x unless that is NULL. */
+void dgp_dense_backward(const double *params, const size_t *widths, size_t stages, size_t rows,
+                        const double *acts, const double *grad_out, const double *const *taps,
+                        double *dpres, double *grad_x)
+{
+    size_t w_off = 0, a_off = 0;  /* stage i's weights in params, its arrays in acts and dpres */
+    for (size_t i = 0; i < stages; i++) {
+        w_off += widths[i] * widths[i + 1] + widths[i + 1];
+        a_off += rows * widths[i + 1];
+    }
+    memcpy(dpres + a_off - rows * widths[stages], grad_out, rows * widths[stages] * sizeof *grad_out);
+    for (size_t i = stages; i-- > 0;) {
+        size_t fan_in = widths[i], fan_out = widths[i + 1], len = rows * fan_out;
+        w_off -= fan_in * fan_out + fan_out;
+        a_off -= len;
+        double *d = dpres + a_off;
+        const double *t = taps ? taps[i + 1] : NULL;
+        if (t)
+            for (size_t e = 0; e < len; e++)
+                d[e] = d[e] + t[e];
+        if (i != stages - 1)
+            for (size_t e = 0; e < len; e++)
+                d[e] = d[e] * (acts[a_off + e] > 0.0 ? 1.0 : 0.2);
+        double *below = i > 0 ? d - rows * fan_in : grad_x;
+        if (below)
+            matmul(d, (ptrdiff_t)fan_out, 1, params + w_off, 1, (ptrdiff_t)fan_out, below, (ptrdiff_t)fan_in, 1,
+                   rows, fan_out, fan_in);
+    }
+}
+
+/* DenseStack.param_grads_from over n caches, each given as four size_t
+ * values in caches[4 c ...]: its rows, and the addresses of its input
+ * (rows, widths[0]), its forward block and its dpres block.  Per stage the
+ * caches' rows stack in order (np.concatenate); the weight gradient is
+ * acts.T @ dpre and the bias gradient np.sum(dpre, axis=0): 0.0 plus each row
+ * in turn, or, for a 1-wide stage, 0.0 plus numpy's pairwise sum of the
+ * column.  Both go into out in the parameter vector's layout.  Returns -1
+ * when out of memory. */
+int dgp_dense_grads(const size_t *widths, size_t stages, size_t n, const size_t *caches, double *out)
+{
+    size_t total = 0, widest = 0;
+    for (size_t c = 0; c < n; c++)
+        total += caches[4 * c];
+    for (size_t i = 0; i <= stages; i++)
+        widest = widths[i] > widest ? widths[i] : widest;
+    double *stack = NULL;
+    if (n > 1 && !(stack = malloc(2 * total * widest * sizeof *stack)))
+        return -1;
+    size_t a_off = 0;  /* stage i's offset in each cache's blocks, in rows */
+    for (size_t i = 0; i < stages; i++) {
+        size_t fan_in = widths[i], fan_out = widths[i + 1];
+        const double *acts, *dpre;
+        if (n == 1) {
+            const double *block = (const double *)caches[2], *dblock = (const double *)caches[3];
+            acts = i == 0 ? (const double *)caches[1] : block + caches[0] * (a_off - fan_in);
+            dpre = dblock + caches[0] * a_off;
+        }
+        else {
+            double *sa = stack, *sd = stack + total * widest;
+            acts = sa;
+            dpre = sd;
+            for (size_t c = 0; c < n; c++) {
+                size_t rows = caches[4 * c];
+                const double *block = (const double *)caches[4 * c + 2], *dblock = (const double *)caches[4 * c + 3];
+                memcpy(sa, i == 0 ? (const double *)caches[4 * c + 1] : block + rows * (a_off - fan_in),
+                       rows * fan_in * sizeof *sa);
+                memcpy(sd, dblock + rows * a_off, rows * fan_out * sizeof *sd);
+                sa += rows * fan_in;
+                sd += rows * fan_out;
+            }
+        }
+        double *w = out, *bias = out + fan_in * fan_out;
+        out = bias + fan_out;
+        matmul(acts, 1, (ptrdiff_t)fan_in, dpre, (ptrdiff_t)fan_out, 1, w, (ptrdiff_t)fan_out, 1, fan_in, total, fan_out);
+        if (fan_out == 1)
+            bias[0] = sum(dpre, total);
+        else {
+            for (size_t j = 0; j < fan_out; j++)
+                bias[j] = 0.0;
+            for (size_t r = 0; r < total; r++)
+                for (size_t j = 0; j < fan_out; j++)
+                    bias[j] = bias[j] + dpre[r * fan_out + j];
+        }
+        a_off += fan_out;
+    }
+    free(stack);
+    return 0;
+}

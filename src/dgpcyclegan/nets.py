@@ -40,6 +40,13 @@ are unspecified.  It runs as one native pass over the vectors when the
 package's native library built (`native.lib.adam_step`), and otherwise as ten
 numpy passes block by block (`native.error` then says why); the two give the
 same bits.
+The forward pass, the backward chain and param_grads_from are likewise one
+native call each (`native.lib.nets_forward`, `nets_backward`, `nets_grads`),
+which makes every product through the OpenBLAS call numpy's matmul makes for
+the same operands, so they too give numpy's bits.  A native forward keeps
+its activations in one block (FwdCache.block) with acts[1:] as views of it,
+and a native chain its dpres likewise (FwdCache.dblock); the numpy code runs
+where the passes are off or a stack is not in the row layout they read.
 save_checkpoint writes each parameter vector's own buffer, without a copy,
 and load_checkpoint reads each one straight into its rebuilt net's params.
 """
@@ -47,6 +54,7 @@ and load_checkpoint reads each one straight into its rebuilt net's params.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 import os
 import struct
@@ -81,6 +89,9 @@ class FwdCache:
     lead: tuple  # (B,) for a row stack, () for a single sample
     acts: list  # acts[0] is the (B, width) input, acts[i] the post-activation of stage i and its backward mask
     dpres: list | None = None  # gradients wrt each stage's pre-activation, set by the backward chain
+    # The native passes' blocks: acts[1:] and dpres are views of them when those passes formed them.
+    block: np.ndarray | None = None
+    dblock: np.ndarray | None = None
 
 
 class DenseStack:
@@ -99,6 +110,10 @@ class DenseStack:
             offset += fan_out
             self._slices.append((w_sl, b_sl, fan_in, fan_out))
         self.params = np.zeros(offset)
+        # The widths as the native passes read them, and each stage's first
+        # column in their blocks, which hold a row's stages side by side.
+        self._native_widths = np.array(self.widths, dtype=np.uintp)
+        self._starts = tuple(itertools.accumulate(self.widths[1:], initial=0))
         if rng is not None:
             if not isinstance(rng, np.random.Generator):
                 rng = np.random.default_rng(rng)
@@ -124,7 +139,8 @@ class DenseStack:
 
         With keep=None every post-activation goes into the cache for
         backward.  Otherwise the cache holds only acts[i] for i in keep (None
-        elsewhere), so each stage's arrays are freed while the next one runs.
+        elsewhere); on the numpy path each stage's arrays are then freed while
+        the next one runs.
         """
         x = np.asarray(x, dtype=float)
         width = self.widths[0]
@@ -132,13 +148,40 @@ class DenseStack:
         if not lead and x.size != width:
             raise ShapeMismatch(f"input has {x.size} values, expected {width} per row")
         a = x.reshape(-1, width)
+        slices = self._slices[:stages]
+        forward = native.lib.nets_forward
+        if forward is not None and self._native_ready(a, width):
+            rows, n = len(a), len(slices)
+            block = np.empty(rows * self._starts[n])
+            forward(self.params.ctypes.data, self._native_widths.ctypes.data, n, n == self.n_stages,
+                    a.ctypes.data, rows, block.ctypes.data)
+            acts = [a, *self._views(block, rows, n)]
+            if keep is not None:
+                return FwdCache(owner=id(self), x_shape=x.shape, lead=lead,
+                                acts=[act if i in keep else None for i, act in enumerate(acts)])
+            return FwdCache(owner=id(self), x_shape=x.shape, lead=lead, acts=acts,
+                            block=block if n == self.n_stages else None)
         acts = [a if keep is None or 0 in keep else None]
         last = self.n_stages - 1
-        for i, (w_sl, b_sl, fan_in, fan_out) in enumerate(self._slices[:stages]):
+        for i, (w_sl, b_sl, fan_in, fan_out) in enumerate(slices):
             pre = a @ self.params[w_sl].reshape(fan_in, fan_out) + self.params[b_sl]
             a = pre if i == last else _leaky(pre)
             acts.append(a if keep is None or i + 1 in keep else None)
         return FwdCache(owner=id(self), x_shape=x.shape, lead=lead, acts=acts)
+
+    def _native_ready(self, a: np.ndarray, width: int) -> bool:
+        """Whether the native passes can stand in for numpy on rows a: a (B >= 1, width) float64
+        stack in C order with the strides numpy gives a fresh array, which numpy's matmul
+        dispatch reads, and a C-contiguous float64 parameter vector of the widths' length."""
+        params = self.params
+        return (a.shape[0] > 0 and a.shape[1] == width and a.dtype == np.float64 and a.strides == (8 * width, 8)
+                and a.flags.aligned and params.shape == (self._slices[-1][1].stop,) and params.dtype == np.float64
+                and params.flags.c_contiguous and params.flags.aligned)
+
+    def _views(self, block: np.ndarray, rows: int, n: int) -> list:
+        """The (rows, width) arrays of stages 1 .. n in a native block."""
+        starts = self._starts
+        return [block[rows * starts[i]:rows * starts[i + 1]].reshape(rows, self.widths[i + 1]) for i in range(n)]
 
     def _backprop(self, cache: FwdCache, grad_out, tap_grads=None, out=None, param_grads=True, input_grad=True):
         """Walk the stack backwards, returning (flat param grads summed over rows, grad wrt input).
@@ -153,18 +196,47 @@ class DenseStack:
             raise CacheMismatch("cache was produced by a different network")
         rows = cache.acts[0].shape[0]
         g = np.asarray(grad_out, dtype=float).reshape(rows, -1)
-        last = self.n_stages - 1
-        cache.dpres = [None] * self.n_stages
-        for i in range(last, -1, -1):
-            if tap_grads is not None and (i + 1) in tap_grads:
-                g = g + np.asarray(tap_grads[i + 1], dtype=float).reshape(rows, -1)
-            dpre = g if i == last else g * _leaky_deriv(cache.acts[i + 1])
-            cache.dpres[i] = dpre
-            if i > 0 or input_grad:
-                w_sl, _, fan_in, fan_out = self._slices[i]
-                g = dpre @ self.params[w_sl].reshape(fan_in, fan_out).T
+        backward, taps = native.lib.nets_backward, None
+        if backward is not None and cache.block is not None and self._native_ready(g, self.widths[-1]):
+            taps = self._native_taps(tap_grads, rows)
+        if taps is not None:
+            pointers, _held = taps  # _held keeps the arrays the pointers address alive through the call
+            dblock = np.empty(cache.block.size)
+            grad_x = np.empty((rows, self.widths[0])) if input_grad else None
+            backward(self.params.ctypes.data, self._native_widths.ctypes.data, self.n_stages, rows,
+                     cache.block.ctypes.data, g.ctypes.data, None if pointers is None else pointers.ctypes.data,
+                     dblock.ctypes.data, None if grad_x is None else grad_x.ctypes.data)
+            g = grad_x
+            cache.dblock, cache.dpres = dblock, self._views(dblock, rows, self.n_stages)
+        else:
+            last = self.n_stages - 1
+            cache.dblock, cache.dpres = None, [None] * self.n_stages
+            for i in range(last, -1, -1):
+                if tap_grads is not None and (i + 1) in tap_grads:
+                    g = g + np.asarray(tap_grads[i + 1], dtype=float).reshape(rows, -1)
+                dpre = g if i == last else g * _leaky_deriv(cache.acts[i + 1])
+                cache.dpres[i] = dpre
+                if i > 0 or input_grad:
+                    w_sl, _, fan_in, fan_out = self._slices[i]
+                    g = dpre @ self.params[w_sl].reshape(fan_in, fan_out).T
         grad_x = g.reshape(cache.x_shape) if input_grad else None
         return (self.param_grads_from(cache, out=out) if param_grads else None), grad_x
+
+    def _native_taps(self, tap_grads, rows: int):
+        """(a uintp vector of each stage's tap-gradient address or 0, or None without taps; the
+        arrays it addresses) for the native chain, or None when a tap gradient does not fit its
+        stage, for numpy to raise on."""
+        if not tap_grads:
+            return None, ()
+        pointers = np.zeros(self.n_stages + 1, dtype=np.uintp)
+        held = []
+        for i, grad in tap_grads.items():
+            grad = np.ascontiguousarray(grad, dtype=float)
+            if not (1 <= i <= self.n_stages and grad.size == rows * self.widths[i]):
+                return None
+            held.append(grad)
+            pointers[i] = grad.ctypes.data
+        return pointers, held
 
     def param_grads_from(self, *caches: FwdCache, out=None) -> np.ndarray:
         """Parameter gradients summed over the rows of every cache, after its backward chain.
@@ -183,6 +255,13 @@ class DenseStack:
             out = np.empty(self.n_params)
         elif out.shape != (self.n_params,) or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ShapeMismatch(f"out must be a contiguous float64 vector of {self.n_params} values")
+        grads = native.lib.nets_grads
+        if grads is not None and caches and all(c.dblock is not None for c in caches):
+            spec = np.array([v for c in caches for v in (len(c.acts[0]), c.acts[0].ctypes.data, c.block.ctypes.data,
+                                                         c.dblock.ctypes.data)], dtype=np.uintp)
+            if grads(self._native_widths.ctypes.data, self.n_stages, len(caches), spec.ctypes.data, out.ctypes.data):
+                raise MemoryError("param_grads_from: no memory to stack the caches' rows")
+            return out
         for i, (w_sl, b_sl, fan_in, fan_out) in enumerate(self._slices):
             if len(caches) == 1:
                 acts, dpre = caches[0].acts[i], caches[0].dpres[i]

@@ -190,16 +190,40 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
 
 
+NETS_LIVE = dict(nets_forward=object(), nets_backward=object(), nets_grads=object())
+NO_BLAS = "numpy has no bundled OpenBLAS with scipy_cblas_dgemm64_"
+
+
 @pytest.mark.parametrize("lib, error, line", [
-    (native.Native(object(), object(), (object(), object())), None, "native: adam_step, knn_select, gram"),
-    (native.Native(), "cc: not found", "native: none; numpy: adam_step, knn_select, gram (cc: not found)"),
-    (native.Native(adam_step=object()), None, "native: adam_step; numpy: knn_select, gram"),
-], ids=["built", "failed", "gp forced off"])
+    (native.Native(object(), object(), (object(), object()), **NETS_LIVE), None,
+     "native: adam_step, knn_select, gram, nets_forward, nets_backward, nets_grads"),
+    (native.Native(), "cc: not found",
+     "native: none; numpy: adam_step, knn_select, gram, nets_forward, nets_backward, nets_grads (cc: not found)"),
+    (native.Native(adam_step=object()), None,
+     "native: adam_step; numpy: knn_select, gram, nets_forward, nets_backward, nets_grads"),
+    (native.Native(object(), object(), (object(), object())), NO_BLAS,
+     f"native: adam_step, knn_select, gram; numpy: nets_forward, nets_backward, nets_grads ({NO_BLAS})"),
+], ids=["built", "failed", "gp forced off", "no blas"])
 def test_verify_names_the_live_native_paths(monkeypatch, capsys, lib, error, line):
     monkeypatch.setattr(native, "lib", lib)
     monkeypatch.setattr(native, "error", error)
     assert main(["verify", "--suite", "metrics"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == line
+
+
+@pytest.mark.skipif(native.lib.nets_forward is None, reason=f"the nets passes are not live: {native.error}")
+@pytest.mark.parametrize("found", [[], ["libc.so.6"]], ids=["no OpenBLAS", "no CBLAS symbols"])
+def test_a_missing_numpy_blas_leaves_only_the_nets_passes_on_numpy(monkeypatch, capsys, found):
+    monkeypatch.setattr(native.glob, "glob", lambda pattern: found)
+    lib, error = native.build()
+    assert lib.adam_step and lib.knn_select and lib.gram
+    assert (lib.nets_forward, lib.nets_backward, lib.nets_grads) == (None, None, None)
+    assert "scipy_cblas_dgemm64_" in error and "\n" not in error
+    monkeypatch.setattr(native, "lib", lib)
+    monkeypatch.setattr(native, "error", error)
+    assert main(["verify", "--suite", "metrics"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"native: adam_step, knn_select, gram; numpy: nets_forward, nets_backward, nets_grads ({error})")
 
 
 def test_verify_names_numpy_and_the_blas_core(monkeypatch, capsys):

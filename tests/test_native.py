@@ -1,8 +1,8 @@
-"""The native GP passes against their numpy twins, bit for bit.
+"""The native GP and nets passes against their numpy twins, bit for bit.
 
-Each test runs one call twice, with the native pass and with it forced off
-(its entry in native.lib set to None), and compares the results as uint64
-views.  Adam's native pass has its own tests in test_nets.py.
+Each test runs one call twice, with the native passes and with them forced
+off (their entries in native.lib set to None), and compares the results as
+uint64 views.  Adam's native pass has its own tests in test_nets.py.
 """
 
 import numpy as np
@@ -12,15 +12,19 @@ from dgpcyclegan import cli, native
 from dgpcyclegan.errors import NonFiniteRecursion
 from dgpcyclegan.gp_supervisor import FeatureBank, knn_select
 from dgpcyclegan.kernels import KernelSpec, gram
+from dgpcyclegan.nets import Discriminator, Generator
 
 needs_native = pytest.mark.skipif(native.lib.knn_select is None, reason=f"the native library did not build: {native.error}")
+needs_nets = pytest.mark.skipif(native.lib.nets_forward is None, reason=f"the nets passes are not live: {native.error}")
+NETS = ("nets_forward", "nets_backward", "nets_grads")
 
 
-def both_paths(monkeypatch, entry, call):
-    """call() with native.lib's `entry` pass, then with that pass forced off."""
+def both_paths(monkeypatch, entries, call):
+    """call() with native.lib's passes, then with the named ones (one name or a tuple) forced off."""
     built, results = native.lib, []
-    for fn in (getattr(built, entry), None):
-        monkeypatch.setattr(native, "lib", built._replace(**{entry: fn}))
+    entries = (entries,) if isinstance(entries, str) else entries
+    for lib in (built, built._replace(**dict.fromkeys(entries))):
+        monkeypatch.setattr(native, "lib", lib)
         results.append(call())
     monkeypatch.setattr(native, "lib", built)
     return results
@@ -80,6 +84,100 @@ def test_native_gram_names_the_numpy_radicand_layer(monkeypatch, scale, layer):
 
     native_msg, numpy_msg = both_paths(monkeypatch, "gram", message)
     assert native_msg == numpy_msg and f"at layer {layer};" in native_msg
+
+
+def nets_run(net, inputs, grads, taps=(None, None), input_grad=True):
+    """Every array a forward and backward chain per input leaves, then the parameter gradients over all caches."""
+    caches, arrays = [], []
+    for x, g in zip(inputs, grads):
+        if isinstance(net, Generator):
+            y, s, z, cache = net.forward(x)
+            _, gx = net.backward(cache, g, grad_s=taps[0], grad_z=taps[1], param_grads=False, input_grad=input_grad)
+            arrays += [y, s, z, *net.taps(x)]
+        else:
+            score, cache = net.forward(x)
+            _, gx = net.backward(cache, g, param_grads=False, input_grad=input_grad)
+            arrays.append(score)
+        assert (gx is None) == (not input_grad)
+        arrays += [*cache.acts, *cache.dpres, *([gx] if input_grad else [])]
+        caches.append(cache)
+    return arrays + [net.param_grads_from(*caches)]
+
+
+# Nets of every shape the dispatch tells apart: a width-1 hidden layer gives
+# products with K = 1 and an (N = 1) into it; the discriminator's 1-wide head
+# gives N = 1 forward, K = 1 backward and a 1-wide bias sum.
+NETS_SHAPES = {
+    "generator": lambda rng: Generator(48, hidden=(16, 8, 8, 16), tap_s=2, tap_z=3, rng=rng),
+    "generator, width-1 layer": lambda rng: Generator(48, hidden=(7, 1, 5, 9), tap_s=2, tap_z=3, rng=rng),
+    "discriminator": lambda rng: Discriminator(48, hidden=(12,), rng=rng),
+    "discriminator, width-1 layer": lambda rng: Discriminator(48, hidden=(6, 1), rng=rng),
+}
+
+
+@needs_nets
+@pytest.mark.parametrize("rows", [1, 2, 3, 6, 40, 200])
+@pytest.mark.parametrize("shape", list(NETS_SHAPES))
+def test_native_nets_passes_are_bit_identical_to_numpy(monkeypatch, rows, shape):
+    rng = np.random.default_rng(rows)
+    net = NETS_SHAPES[shape](rng)
+    is_gen = isinstance(net, Generator)
+    # A cache of one row whose output gradient is -0.0: numpy's bias sum adds
+    # the rows to 0.0, which turns that row into +0.0.
+    inputs = [rng.standard_normal((rows, 6, 8)), rng.standard_normal((1, 48))]
+    grads = [rng.standard_normal((rows, 6, 8) if is_gen else rows), rng.standard_normal((1, 48) if is_gen else 1)]
+    grads[1][0] = -0.0
+    taps = (None, None)
+    if is_gen:
+        taps = tuple(rng.standard_normal((rows, net.widths[t])) for t in (net.tap_s, net.tap_z))
+    none = (None, None)
+    for picked, tap_pair, input_grad in [([0], taps, True), ([0], (taps[0], None), False), ([0], (None, taps[1]), True),
+                                         ([1], none, True), ([0, 1], none, True), ([0, 1], none, False)]:
+        def call():
+            return nets_run(net, [inputs[i] for i in picked], [grads[i] for i in picked], tap_pair, input_grad)
+        native_arrays, numpy_arrays = both_paths(monkeypatch, NETS, call)
+        assert len(native_arrays) == len(numpy_arrays)
+        for i, (a, b) in enumerate(zip(native_arrays, numpy_arrays)):
+            assert same_bits(np.asarray(a), np.asarray(b)), (picked, input_grad, i)
+
+
+@needs_nets
+@pytest.mark.parametrize("shape", list(NETS_SHAPES))
+def test_native_nets_passes_match_numpy_on_special_values(monkeypatch, shape):
+    rng = np.random.default_rng(3)
+    net = NETS_SHAPES[shape](rng)
+    is_gen = isinstance(net, Generator)
+    x = rng.standard_normal((5, 48))
+    x[0, :4] = [-0.0, 5e-324, -2.5e-310, 1e-300]
+    x[1, 0], x[2, 1], x[3, 2] = np.inf, -np.inf, np.nan
+    net.params[:3] = [-0.0, 5e-324, -5e-324]
+    g = rng.standard_normal((5, 48) if is_gen else 5)
+    g[0] = -0.0
+    g[4] = np.nan if is_gen else 2.5e-310
+    taps = (None, None)
+    if is_gen:
+        taps = (np.full((5, net.widths[net.tap_s]), -0.0), np.full((5, net.widths[net.tap_z]), 5e-324))
+    with np.errstate(all="ignore"):  # numpy's matmul warns on the inf and NaN rows
+        native_arrays, numpy_arrays = both_paths(monkeypatch, NETS, lambda: nets_run(net, [x], [g], taps))
+    for i, (a, b) in enumerate(zip(native_arrays, numpy_arrays)):
+        assert same_bits(np.asarray(a), np.asarray(b)), i
+    assert np.isnan(native_arrays[-1]).any()
+
+
+@needs_nets
+@pytest.mark.parametrize("config", ["grad_through_query = on\n", "dgp = off\n"], ids=["dgp, query gradient", "dgp off"])
+def test_train_writes_the_same_bytes_with_the_nets_passes_forced_off(monkeypatch, tmp_path, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 2\nn_train = 12\nn_eval = 2\nimg_side = 16\ngen_hidden = 16,8,8,16\n"
+                   "disc_hidden = 8\nn_neighbors = 8\ncheckpoint_interval = 1\nsample_count = 1\n" + config)
+    outputs = []
+    for lib in (native.lib, native.lib._replace(**dict.fromkeys(NETS))):
+        monkeypatch.setattr(native, "lib", lib)
+        out = tmp_path / ("native" if lib.nets_forward else "numpy")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert {"metrics.csv", "ckpt_1.bin"} <= outputs[0].keys()
+    assert outputs[0] == outputs[1]
 
 
 @needs_native

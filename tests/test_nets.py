@@ -374,33 +374,73 @@ def refuse_to_load(path):
     raise OSError(f"{path}: failed to map segment from shared object\nsecond line")
 
 
+def private_dirs(monkeypatch, tmp_path):
+    """Point the build's cache and temporary directories into tmp_path; returns (cache, tmp)."""
+    cache, tmp = tmp_path / "cache", tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    return cache / "dgpcyclegan", tmp
+
+
 @pytest.mark.parametrize("cc, load, reason", [
     ("dgpcyclegan-no-such-compiler", None, "dgpcyclegan-no-such-compiler"),  # no compiler
     ("false", None, "false exited with status 1"),  # the compiler fails
-    pytest.param(native.CC, refuse_to_load, "failed to map segment", marks=needs_kernel),  # a noexec temp dir
+    pytest.param(native.CC, refuse_to_load, "failed to map segment", marks=needs_kernel),  # a noexec directory
 ])
 def test_a_failed_adam_build_falls_back_and_leaves_no_directory(monkeypatch, tmp_path, cc, load, reason):
     # One build serves every native pass, so a failed one falls back for all of them, with one reason.
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cache, tmp = private_dirs(monkeypatch, tmp_path)
     monkeypatch.setattr(native, "CC", cc)
     if load is not None:
         monkeypatch.setattr(native.ctypes, "CDLL", load)
     lib, error = native.build()
-    assert lib == native.Native(adam_step=None, knn_select=None, gram=None)
+    assert lib == native.Native()
     assert reason in error and "\n" not in error
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp.iterdir()) == []
+    assert [p.name for p in cache.iterdir()] == ([] if load is None else [f"_native-{native._build_key(SOURCE)}.so"])
 
 
 @needs_kernel
 def test_adam_build_leaves_no_directory_and_the_kernel_still_runs(monkeypatch, tmp_path):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    _, tmp = private_dirs(monkeypatch, tmp_path)
     lib, error = native.build()
     assert None not in lib and error is None
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp.iterdir()) == []
     monkeypatch.setattr(native, "lib", lib)
     params = np.zeros(1)
     adam_step(AdamState.for_params(params, lr=2e-4), params, np.array([1.0]))
     assert abs(params[0] + 2e-4 / (1.0 + 1e-8)) < 1e-18
+
+
+SOURCE = importlib.resources.files("dgpcyclegan").joinpath("_native.c").read_bytes()
+
+
+@needs_kernel
+def test_the_build_is_cached_by_source_compiler_flags_and_cpu(monkeypatch, tmp_path):
+    cache, _ = private_dirs(monkeypatch, tmp_path)
+    first, _ = native.build()
+    assert None not in first and cache.stat().st_mode & 0o777 == 0o700
+    assert [p.name for p in cache.iterdir()] == [f"_native-{native._build_key(SOURCE)}.so"]
+    # A second build loads the cached library: a compiler that fails is never run.
+    compiled = []
+    monkeypatch.setattr(native, "_compile", lambda source, path: compiled.append(path) or "the compiler ran")
+    second, error = native.build()
+    assert None not in second and error is None and compiled == []
+    # A changed source or flag names another library, which is compiled.
+    assert native._build_key(SOURCE + b"\n") != native._build_key(SOURCE)
+    monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-DDGP_CACHE_TEST",))
+    assert native.build() == (native.Native(), "the compiler ran") and len(compiled) == 1
+
+
+@needs_kernel
+def test_a_library_without_a_pass_is_a_failed_load(monkeypatch, tmp_path):
+    # As from a stale cached library: the cache is given up, and the fresh build lacks the symbol too.
+    private_dirs(monkeypatch, tmp_path)
+    monkeypatch.setitem(native._SIGNATURES, "dgp_no_such_pass", ((), None))
+    lib, error = native.build()
+    assert lib == native.Native()
+    assert "dgp_no_such_pass" in error and "\n" not in error
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -103,6 +103,20 @@ def test_lsgan_terms_hand_value():
     assert loss == 0.25
 
 
+@pytest.mark.parametrize("shape", [(1,), (2,), (4,), (9,), (2, 16, 16), (4, 32, 32), (3, 7)])
+def test_loss_means_are_bit_for_bit_np_mean(shape):
+    # _l1 and _least_squares form their means as sum / size; np.mean gives the same bits, overflow included.
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    for scale in (1e-310, 1e-3, 1.0, 1e150, 1e300):
+        a, b = (rng.standard_normal(shape) * scale for _ in range(2))
+        loss, _ = trainer._l1(a, b)
+        assert np.float64(loss).view(np.uint64) == np.mean(np.abs(a - b)).view(np.uint64)
+        with np.errstate(over="ignore"):
+            loss, _ = trainer._least_squares(a, b)
+            assert np.float64(loss).view(np.uint64) == np.mean((a - b) * (a - b)).view(np.uint64)
+        assert scale < 1e300 or np.isinf(loss)
+
+
 def test_adversarial_losses_runs_discriminator():
     # Zero-weight discriminator scores any input 0: gen term 1, disc term 0.5.
     disc = Discriminator(16, hidden=(4,))
